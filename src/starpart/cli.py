@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
-    p.add_argument("--algo", choices=["dfs", "flow", "oracle"], default="flow")
+    p.add_argument("--algo", choices=["auto", "dfs", "flow", "oracle"], default="auto")
     p.add_argument("--objective", choices=["star", "ind"], default="star")
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=cmd_solve)
@@ -195,11 +195,15 @@ def _solve_ind(g: Graph, algo: str):
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     g = inst.graph
+    algo = args.algo
+    if algo == "auto":
+        # the flow solver has no formulation for hypergraphs
+        algo = "dfs" if g.kind is GraphKind.LINEAR_HYPER else "flow"
     if args.objective == "star":
-        res = _solve_star(g, args.algo)
+        res = _solve_star(g, algo)
         value, coloring = res.value, res.coloring
     else:
-        value, orientation = _solve_ind(g, args.algo)
+        value, orientation = _solve_ind(g, algo)
         coloring = None
         if orientation is not None:
             # owners are the tails, so the file is readable either way

@@ -7,16 +7,23 @@ graph edge (in its current direction), source arcs into surplus nodes and
 sink arcs out of deficient nodes decides in one max-flow computation
 whether the deficits can all be repaired simultaneously.  Reversing the
 graph edges that carry flow yields an orientation whose induced coloring
-meets the target.  A binary search over x then finds the optimum in
-O(log(max degree)) probes.
+meets the target.  The search probes the counting bound ceil((m+1)/n)
+first, which proves optimality when it succeeds; otherwise a binary
+search over x finds the optimum in O(log(max degree)) probes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult, lower_demand
+from .coloring import (
+    INFEASIBLE,
+    Orientation,
+    PartialColoring,
+    SolveResult,
+    lower_demand,
+    orientation_to_owner,
+)
 from .errors import UnsupportedKind
 from .graph import Graph, GraphKind
 
@@ -104,90 +111,42 @@ def _network_from_slacks(g: Graph, head: tuple[int, ...], slacks: list[int]) -> 
 
 
 def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
-    """Maximum integral s-t flow by shortest-augmenting-layer blocking flows."""
+    """Maximum integral s-t flow, computed by scipy's Dinic on a CSR copy.
+
+    scipy is imported here, not at module level, so that parsing and
+    verifying never pay for it.  Capacities are integers, so the flow is
+    exact.
+    """
+    import numpy as np
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
     n = net.n
     s, t = n, n + 1
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n + 2)]
+    sources = [v for v, mult in enumerate(net.source_mult) if mult]
+    sinks = [v for v, mult in enumerate(net.sink_mult) if mult]
+    tails = [u for u, _ in net.arcs] + [s] * len(sources) + sinks
+    heads = [v for _, v in net.arcs] + sources + [t] * len(sinks)
+    caps = [1] * len(net.arcs)
+    caps += [net.source_mult[v] for v in sources] + [net.sink_mult[v] for v in sinks]
+    rows = np.asarray(tails, dtype=np.int32)
+    cols = np.asarray(heads, dtype=np.int32)
+    graph = csr_array((np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(n + 2, n + 2))
+    # A simple graph has at most one arc per node pair, so the flow matrix
+    # entry of each arc is that arc's flow alone.
+    assert graph.nnz == len(tails), "parallel arcs in the flow network"
+    result = maximum_flow(graph, s, t, method="dinic")
+    flow = result.flow[rows, cols].tolist()
 
-    def add(u: int, v: int, c: int) -> int:
-        idx = len(to)
-        adj[u].append(idx)
-        to.append(v)
-        cap.append(c)
-        adj[v].append(idx + 1)
-        to.append(u)
-        cap.append(0)
-        return idx
-
-    edge_pos = [add(u, v, 1) for (u, v) in net.arcs]
-    source_pos = {}
-    sink_pos = {}
-    for v, mult in enumerate(net.source_mult):
-        if mult:
-            source_pos[v] = add(s, v, mult)
-    for v, mult in enumerate(net.sink_mult):
-        if mult:
-            sink_pos[v] = add(v, t, mult)
-
-    level = [0] * (n + 2)
-    iters = [0] * (n + 2)
-    total = 0
-    while True:
-        # BFS layer assignment from s on the residual network.
-        for i in range(n + 2):
-            level[i] = -1
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in adj[u]:
-                v = to[idx]
-                if cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            break
-        for i in range(n + 2):
-            iters[i] = 0
-        # Blocking flow: repeated DFS along strictly increasing layers.
-        while True:
-            path: list[int] = []
-            u = s
-            while u != t:
-                advanced = False
-                while iters[u] < len(adj[u]):
-                    idx = adj[u][iters[u]]
-                    v = to[idx]
-                    if cap[idx] > 0 and level[v] == level[u] + 1:
-                        path.append(idx)
-                        u = v
-                        advanced = True
-                        break
-                    iters[u] += 1
-                if advanced:
-                    continue
-                if u == s:
-                    break
-                level[u] = -1  # dead end in this phase, never re-enter
-                back = path.pop()
-                u = to[back ^ 1]
-                iters[u] += 1
-            if u != t:
-                break
-            bottleneck = min(cap[idx] for idx in path)
-            for idx in path:
-                cap[idx] -= bottleneck
-                cap[idx ^ 1] += bottleneck
-            total += bottleneck
-
-    edge_flow = tuple(cap[pos ^ 1] for pos in edge_pos)
-    source_flow = tuple(
-        cap[source_pos[v] ^ 1] if v in source_pos else 0 for v in range(n)
-    )
-    sink_flow = tuple(cap[sink_pos[v] ^ 1] if v in sink_pos else 0 for v in range(n))
-    return IntegralFlow(edge_flow, source_flow, sink_flow, total)
+    m = len(net.arcs)
+    source_flow = [0] * n
+    sink_flow = [0] * n
+    for i, v in enumerate(sources, start=m):
+        source_flow[v] = flow[i]
+    for i, v in enumerate(sinks, start=m + len(sources)):
+        sink_flow[v] = flow[i]
+    value = int(result.flow_value)
+    return IntegralFlow(tuple(flow[:m]), tuple(source_flow), tuple(sink_flow), value)
 
 
 def _test_x(
@@ -237,7 +196,11 @@ def _default_orientation(g: Graph) -> Orientation:
 
 
 def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResult:
-    """Binary-search solve of a simple graph, optionally with loop seeds."""
+    """Solve a simple graph, optionally with loop seeds.
+
+    Probes the counting bound first, then the maximum degree, then
+    bisects between them.
+    """
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind(
             "the flow solver handles simple graphs only; linear hypergraphs "
@@ -250,10 +213,18 @@ def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResu
     )
     if delta == 0:
         return SolveResult(0, PartialColoring(()))
-    best = _test_x(g, delta, _default_orientation(g), loop_counts)
+    # Counting bound: node v sees indeg(v) + [v owns an edge] colors, so
+    # the sum over all nodes is m + #owners >= m + 1 and some node sees at
+    # least ceil((m+1)/n).  Capacities can only raise x*.
+    lo = max(1, -(-(g.m + 1) // g.n))
+    start = _default_orientation(g)
+    best = _test_x(g, lo, start, loop_counts)
+    if best is not None:
+        return SolveResult(lo, orientation_to_owner(g, best))
+    best = _test_x(g, delta, start, loop_counts) if lo < delta else None
     if best is None:
         return SolveResult(INFEASIBLE, None)
-    lo, hi = 1, delta
+    lo, hi = lo + 1, delta
     while lo < hi:
         mid = (lo + hi) // 2
         # Warm start from the last successful witness; purely an optimization.
@@ -262,16 +233,14 @@ def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResu
             lo = mid + 1
         else:
             hi, best = mid, cand
-    owners = []
-    for e, nodes in enumerate(g.edges):
-        owners.append(nodes[1] if best.head[e] == nodes[0] else nodes[0])
-    return SolveResult(hi, PartialColoring(tuple(owners)))
+    return SolveResult(hi, orientation_to_owner(g, best))
 
 
 def minimum_star_coloring_flow(g: Graph) -> SolveResult:
     """Compute the optimal star partition of a simple connected graph.
 
-    Binary search over the target; each probe costs one unit-capacity max
-    flow.  Infeasibility surfaces as a failed probe at the loosest target.
+    Probes the counting bound, then binary-searches above it; each probe
+    costs one unit-capacity max flow.  Infeasibility surfaces as a failed
+    probe at the loosest target.
     """
     return solve_flow_seeded(g, None)

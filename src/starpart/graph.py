@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .errors import (
     Disconnected,
@@ -87,12 +88,21 @@ def _check_shapes(kind: GraphKind, edges: list[tuple[int, ...]]) -> None:
                 raise DuplicateEdgeInSimple(f"edge {e} appears more than once")
             seen.add(e)
     elif kind is GraphKind.LINEAR_HYPER:
-        for i in range(len(edges)):
-            si = set(edges[i])
-            for j in range(i + 1, len(edges)):
-                shared = si.intersection(edges[j])
-                if len(shared) > 1:
-                    raise NonLinearHypergraph(i, j, tuple(sorted(shared)))
+        # Index every node pair by the first edge containing it.  The least
+        # violating (i, j) shares some pair whose first edge is i itself,
+        # else (first, i) would be a smaller violation, so it is the least
+        # (first[pair], j) found here.
+        first: dict[tuple[int, ...], int] = {}
+        least = None
+        for j, e in enumerate(edges):
+            for pair in combinations(e, 2):
+                i = first.setdefault(pair, j)
+                if i != j and (least is None or (i, j) < least):
+                    least = (i, j)
+        if least is not None:
+            i, j = least
+            shared = set(edges[i]).intersection(edges[j])
+            raise NonLinearHypergraph(i, j, tuple(sorted(shared)))
 
 
 def _check_connected(n: int, incidence: list[list[int]], edges: list[tuple[int, ...]]) -> None:

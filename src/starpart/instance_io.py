@@ -105,9 +105,14 @@ def parse_instance(text: str) -> Instance:
 
     cap_list = None
     if caps:
-        # Unspecified capacities default to the maximum degree.
-        probe = build_graph(len(names), edges, kind)
-        delta = max_degree(probe)
+        # Unspecified capacities default to the maximum degree; a node
+        # repeated inside one edge (a loop 'v v') counts once, as in
+        # build_graph.
+        deg = [0] * len(names)
+        for members in edges:
+            for v in set(members):
+                deg[v] += 1
+        delta = max(deg)
         cap_list = [caps.get(v, delta) for v in range(len(names))]
     weight_list = [weights.get(v, 1) for v in range(len(names))] if weights else None
     graph = build_graph(len(names), edges, kind, cap_list, weight_list)

@@ -365,3 +365,51 @@ def test_console_entry_point(fig2_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "value 3"
+
+
+def test_default_algo_solves_hypergraphs(tmp_path, capsys):
+    from starpart import minimum_star_coloring
+
+    path = tmp_path / "h.hyper"
+    assert main(["gen", "--family", "hyper", "--n", "12", "--m", "10", "--seed", "3",
+                 "--out", str(path)]) == 0
+    expected = minimum_star_coloring(parse_instance(path.read_text()).graph).value
+    capsys.readouterr()
+    out = tmp_path / "h.sol"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == f"value {expected}"
+    assert main(["verify", str(path), str(out), "--bound", str(expected)]) == 0
+
+
+def test_capacitated_parse_builds_once_with_default_caps(monkeypatch):
+    import starpart.instance_io as instance_io
+
+    calls = []
+    build = instance_io.build_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(instance_io, "build_graph", counted)
+    # the loop written 'a a' counts once toward a's degree, so delta is 3
+    loops = parse_instance(
+        "kind selfloop\nnode a\nnode b cap=1\nnode c\n"
+        "edge a a\nedge a a\nedge a b\nedge b c\n"
+    )
+    assert loops.graph.capacities == (3, 1, 3)
+    multi = parse_instance(
+        "kind multi\nnode a cap=0\nnode b\nnode c\nedge a b\nedge a b\nedge b c\n"
+    )
+    assert multi.graph.capacities == (0, 3, 3)
+    assert len(calls) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, starpart.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

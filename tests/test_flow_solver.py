@@ -184,3 +184,57 @@ def test_solvers_agree_randomly():
         if b.feasible:
             assert is_valid(g, b.coloring)
             assert star_partition_value(g, b.coloring) == b.value
+
+
+def _random_small_graph(rng, kind, capped):
+    """A seeded connected simple, multi or self-loop graph with few edges."""
+    n = rng.randint(2, 6)
+    m = rng.randint(n - 1, min(n * (n - 1) // 2, n + 2))
+    edges = list(generate(GeneratorSpec("random", n=n, m=m, seed=rng.randrange(10**6))).edges)
+    if kind is GraphKind.MULTI:
+        edges += rng.choices(edges, k=rng.randint(1, 3))
+    elif kind is GraphKind.WITH_SELF_LOOPS:
+        edges += [(v, v) for v in rng.choices(range(n), k=rng.randint(1, 3))]
+    caps = None
+    if capped:
+        caps = [rng.randint(0, len(inc)) for inc in build_graph(n, edges, kind).incidence]
+    return build_graph(n, edges, kind, capacities=caps)
+
+
+def test_flow_matches_brute_force_on_all_kinds():
+    from starpart import preprocess_and_solve
+
+    rng = random.Random(61)
+    infeasible = 0
+    for trial in range(240):
+        kind = (GraphKind.SIMPLE, GraphKind.MULTI, GraphKind.WITH_SELF_LOOPS)[trial % 3]
+        g = _random_small_graph(rng, kind, capped=trial % 2 == 1)
+        if g.kind is GraphKind.SIMPLE:
+            res = minimum_star_coloring_flow(g)
+        else:
+            res = preprocess_and_solve(g, "flow")
+        assert res.value == brute_force_xstar(g).value, (g.kind, g.edges, g.capacities)
+        if res.feasible:
+            assert is_valid(g, res.coloring)
+            assert star_partition_value(g, res.coloring) == res.value
+        else:
+            infeasible += 1
+    assert infeasible
+
+
+def test_counting_bound_proves_optimality_in_one_probe(monkeypatch):
+    import starpart.flow_solver as flow_solver
+
+    g = generate(GeneratorSpec("random", n=40, m=80, seed=0))
+    bound = -(-(g.m + 1) // g.n)
+    assert minimum_star_coloring(g).value == bound
+    calls = []
+    probe = flow_solver._test_x
+
+    def counted(*args):
+        calls.append(args[1])
+        return probe(*args)
+
+    monkeypatch.setattr(flow_solver, "_test_x", counted)
+    assert minimum_star_coloring_flow(g).value == bound
+    assert calls == [bound]

@@ -189,3 +189,13 @@ def test_bad_capacity_and_weight_vectors(triangle):
         build_graph(3, triangle.edges, weights=[0, 1, 1])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 5)])
+
+
+def test_nonlinear_hypergraph_reports_least_edge_pair():
+    # edges 1 and 2 share (2, 3), edges 0 and 3 share (0, 1): a scan that
+    # stops at the first j would report (1, 2), the pairwise order (0, 3)
+    edges = [(0, 1, 5), (2, 3, 6), (2, 3, 7), (0, 1, 8), (5, 6)]
+    with pytest.raises(NonLinearHypergraph) as err:
+        build_graph(9, edges, GraphKind.LINEAR_HYPER)
+    assert (err.value.edge_a, err.value.edge_b) == (0, 3)
+    assert err.value.shared == (0, 1)
