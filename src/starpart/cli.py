@@ -17,10 +17,10 @@ import time
 
 from .coloring import (
     INFEASIBLE,
-    Orientation,
     PartialColoring,
     SolveResult,
     orientation_to_owner,
+    owner_to_orientation,
 )
 from .dfs_solver import minimum_star_coloring, preprocess_and_solve
 from .errors import StarPartError, UnsupportedKind
@@ -35,7 +35,12 @@ from .instance_io import (
     parse_solution,
 )
 from .oracle import GeneratorSpec, brute_force_kstar, brute_force_xstar, generate
-from .reductions import ind_to_star, recover_ind_solution
+from .reductions import (
+    PendantReduction,
+    ind_to_star,
+    recover_ind_solution,
+    solve_min_max_ind,
+)
 from .weighted import (
     binpacking_to_wind,
     brute_force_weighted,
@@ -43,6 +48,7 @@ from .weighted import (
     gadget_transform,
     approx2_wind,
     approx4_wstar,
+    weighted_indeg_value,
 )
 
 EXIT_OK = 0
@@ -103,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="run the weighted approximation algorithms")
     p.add_argument("instance")
     p.add_argument("--objective", choices=["wind", "wstar"], default="wind")
+    p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("gen", help="generate an instance file")
@@ -178,18 +185,8 @@ def _solve_ind(g: Graph, algo: str):
             )
         return brute_force_weighted(g, g.weights, "ind")
     if algo == "oracle":
-        value, orientation = brute_force_kstar(g)
-        if value == INFEASIBLE:
-            return INFEASIBLE, None
-        return value, orientation
-    red = ind_to_star(g)
-    if algo == "dfs":
-        res = minimum_star_coloring(red.reduced)
-    else:
-        res = minimum_star_coloring_flow(red.reduced)
-    if not res.feasible:
-        return INFEASIBLE, None
-    return res.value - 1, recover_ind_solution(red, res.coloring)
+        return brute_force_kstar(g)
+    return solve_min_max_ind(g, algo)
 
 
 def cmd_solve(args) -> int:
@@ -204,14 +201,8 @@ def cmd_solve(args) -> int:
         value, coloring = res.value, res.coloring
     else:
         value, orientation = _solve_ind(g, algo)
-        coloring = None
-        if orientation is not None:
-            # owners are the tails, so the file is readable either way
-            owners = []
-            for e, nodes in enumerate(g.edges):
-                h = orientation.head[e]
-                owners.append(nodes[1] if h == nodes[0] else nodes[0])
-            coloring = PartialColoring(tuple(owners))
+        # owners are the tails, so the file is readable either way
+        coloring = None if orientation is None else orientation_to_owner(g, orientation)
     print("value " + ("INFEASIBLE" if value == INFEASIBLE else str(int(value))))
     if args.out:
         _write(args.out, format_solution(inst, coloring, value))
@@ -376,25 +367,12 @@ def cmd_pullback(args) -> int:
             capacities=[red_graph.capacities[v] - 1 for v in range(n)],
             weights=sidecar.get("weights"),
         )
-        from .reductions import PendantReduction
-
         orientation = recover_ind_solution(
             PendantReduction(original=orig, reduced=red_graph), coloring
         )
-        weights = sidecar.get("weights", [1] * n)
-        load = [0] * n
-        for e, nodes in enumerate(orig.edges):
-            h = orientation.head[e]
-            tail = nodes[1] if h == nodes[0] else nodes[0]
-            load[h] += weights[tail]
-        value = max(load) if load else 0
-        lines = []
-        for e, nodes in enumerate(orig.edges):
-            h = orientation.head[e]
-            tail = nodes[1] if h == nodes[0] else nodes[0]
-            lines.append(f"owner {e} {orig_names[tail]}")
-        lines.append(f"value {value}")
-        _write(args.out, "\n".join(lines) + "\n")
+        value = max(weighted_indeg_value(orig, orig.weights, orientation, v) for v in range(n))
+        solution = orientation_to_owner(orig, orientation)  # owners are the tails
+        _write(args.out, format_solution(Instance(orig, tuple(orig_names)), solution, value))
         print(f"value {value}")
         return EXIT_OK
 
@@ -427,11 +405,8 @@ def cmd_pullback(args) -> int:
             bins=sidecar["bins"],
             capacity=sidecar["capacity"],
         )
-        heads = []
-        for e, nodes in enumerate(reduced.graph.edges):
-            o = owners[e]
-            heads.append(nodes[1] if o == nodes[0] else nodes[0])
-        assignment = extract_packing(bp, Orientation(tuple(heads)))
+        coloring = PartialColoring(tuple(owners[e] for e in range(reduced.graph.m)))
+        assignment = extract_packing(bp, owner_to_orientation(reduced.graph, coloring))
         loads = [0] * bp.bins
         for j, l in enumerate(assignment):
             loads[l] += bp.sizes[j]
@@ -455,12 +430,15 @@ def cmd_approx(args) -> int:
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind("the weighted approximations expect a simple instance")
     if args.objective == "wind":
-        _, value = approx2_wind(g)
+        orientation, value = approx2_wind(g)
+        coloring = orientation_to_owner(g, orientation)  # owners are the tails
         objective = "ind"
     else:
-        _, value = approx4_wstar(g)
+        coloring, value = approx4_wstar(g)
         objective = "star"
     print(f"value {value}")
+    if args.out:
+        _write(args.out, format_solution(inst, coloring, value))
     if g.m <= 24:
         optimum, _ = brute_force_weighted(g, g.weights, objective)
         print(f"optimum {optimum}")

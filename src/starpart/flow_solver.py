@@ -7,13 +7,19 @@ graph edge (in its current direction), source arcs into surplus nodes and
 sink arcs out of deficient nodes decides in one max-flow computation
 whether the deficits can all be repaired simultaneously.  Reversing the
 graph edges that carry flow yields an orientation whose induced coloring
-meets the target.  The search probes the counting bound ceil((m+1)/n)
-first, which proves optimality when it succeeds; otherwise a binary
-search over x finds the optimum in O(log(max degree)) probes.
+meets the target.
+
+The same network decides min-max indegree with the demand deg - min(cap, k)
+(Hakimi 1965).  A failed probe leaves a Hall set S, the nodes the residual
+network does not reach from the source, whose demand exceeds the edges
+meeting it; the next probe is the least target at which S is satisfiable,
+so the first success is optimal.  After ceil(log2 Δ) + 1 such probes the
+search bisects instead, keeping O(log Δ) probes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .coloring import (
@@ -21,7 +27,6 @@ from .coloring import (
     Orientation,
     PartialColoring,
     SolveResult,
-    lower_demand,
     orientation_to_owner,
 )
 from .errors import UnsupportedKind
@@ -60,12 +65,23 @@ class IntegralFlow:
     value: int
 
 
-def _out_degrees(g: Graph, head: tuple[int, ...]) -> list[int]:
-    out = [0] * g.n
-    for e, nodes in enumerate(g.edges):
-        tail = nodes[1] if head[e] == nodes[0] else nodes[0]
-        out[tail] += 1
-    return out
+def _demand(deg: int, cap: int, x: int, objective: str) -> int:
+    """Edges a node must own at target x (self-loop seeds count in deg).
+
+    ind: indegree deg - out <= min(cap, x).  star: the node also sees its
+    own star, so it owns deg - min(cap, x) + 1 edges or, if that is 1, none.
+    """
+    if objective == "ind":
+        return max(0, deg - min(cap, x))
+    need = deg - min(cap, x) + 1
+    return need if need >= 2 else 0
+
+
+def _degrees(g: Graph, loop_counts: dict[int, int] | None) -> list[int]:
+    deg = [len(inc) for inc in g.incidence]
+    for v, count in (loop_counts or {}).items():
+        deg[v] += count
+    return deg
 
 
 def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
@@ -74,29 +90,25 @@ def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
     Equals the outdegree itself when the demand is at most 1, otherwise
     outdegree minus demand; negative values count the edge flips v needs.
     """
-    out = 0
-    for e in g.incidence[v]:
-        if orientation.head[e] != v:
-            out += 1
-    need = lower_demand(g, v, x)
-    return out if need <= 1 else out - need
+    out = sum(1 for e in g.incidence[v] if orientation.head[e] != v)
+    return out - _demand(len(g.incidence[v]), g.capacities[v], x, "star")
 
 
-def _slacks(g: Graph, head: tuple[int, ...], x: int, loop_counts) -> list[int]:
-    out = _out_degrees(g, head)
-    slacks = []
-    for v in range(g.n):
-        extra = loop_counts.get(v, 0) if loop_counts else 0
-        deg = len(g.incidence[v]) + extra
-        need = max(0, deg - min(g.capacities[v], x) + 1)
-        total_out = out[v] + extra
-        slacks.append(total_out if need <= 1 else total_out - need)
-    return slacks
+def _slacks(
+    g: Graph, head: tuple[int, ...], x: int, loop_counts, objective: str
+) -> list[int]:
+    # A node owns every edge at it, loop seeds included, that does not enter it.
+    deg = _degrees(g, loop_counts)
+    indeg = [0] * g.n
+    for h in head:
+        indeg[h] += 1
+    caps = g.capacities
+    return [deg[v] - indeg[v] - _demand(deg[v], caps[v], x, objective) for v in range(g.n)]
 
 
 def build_flow_network(g: Graph, orientation: Orientation, x: int) -> FlowNetwork:
     """Network whose max flow decides whether target x is achievable."""
-    slacks = _slacks(g, orientation.head, x, None)
+    slacks = _slacks(g, orientation.head, x, None, "star")
     return _network_from_slacks(g, orientation.head, slacks)
 
 
@@ -154,20 +166,24 @@ def _test_x(
     x: int,
     start: Orientation,
     loop_counts: dict[int, int] | None,
+    objective: str,
+    hall: list[int],
 ) -> Orientation | None:
+    """Probe target x; on failure fill ``hall`` with a violated node set."""
+    deg = _degrees(g, loop_counts)
     for v in range(g.n):
-        extra = loop_counts.get(v, 0) if loop_counts else 0
-        deg = len(g.incidence[v]) + extra
-        if max(0, deg - min(g.capacities[v], x) + 1) > deg:
+        if _demand(deg[v], g.capacities[v], x, objective) > deg[v]:
             # v cannot own enough edges even if it owns all of them.
+            hall[:] = [v]
             return None
-    slacks = _slacks(g, start.head, x, loop_counts)
+    slacks = _slacks(g, start.head, x, loop_counts, objective)
     required = sum(-s for s in slacks if s < 0)
     if required == 0:
         return start
     net = _network_from_slacks(g, start.head, slacks)
     flow = max_flow_unit(net)
     if flow.value < required:
+        hall[:] = _hall_set(net, flow)
         return None
     heads = list(start.head)
     for e, f in enumerate(flow.edge_flow):
@@ -177,6 +193,54 @@ def _test_x(
     return Orientation(tuple(heads))
 
 
+def _hall_set(net: FlowNetwork, flow: IntegralFlow) -> list[int]:
+    """Nodes the source does not reach in the residual network of a max flow.
+
+    Residual graph arcs run tail to head in the repaired orientation, so
+    every edge meeting the unreached set S is owned inside S; no node of S
+    keeps a surplus and an unsaturated sink lies in S, so S's demand
+    exceeds its edges plus loop seeds.
+    """
+    import numpy as np
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = net.n
+    arcs = np.asarray(net.arcs, dtype=np.int32).reshape(-1, 2)
+    flipped = np.asarray(flow.edge_flow, dtype=bool)
+    surplus = np.flatnonzero(np.asarray(flow.source_flow) < np.asarray(net.source_mult))
+    tails = np.concatenate([np.where(flipped, arcs[:, 1], arcs[:, 0]), np.full(len(surplus), n)])
+    heads = np.concatenate([np.where(flipped, arcs[:, 0], arcs[:, 1]), surplus])
+    ones = np.ones(len(tails), dtype=np.int8)
+    residual = csr_array((ones, (tails, heads)), shape=(n + 1, n + 1))
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(residual, n, return_predecessors=False)] = True
+    return np.flatnonzero(~reached[:n]).tolist()
+
+
+def _next_target(
+    g: Graph, hall: list[int], x: int, delta: int, loop_counts, objective: str
+) -> int | None:
+    """Least target in (x, delta] at which the Hall set is satisfiable.
+
+    Its nodes own at most the edges meeting it plus their loop seeds, and
+    their demand only falls as the target grows.  None means the set is
+    violated at delta, where every demand has settled: INFEASIBLE.
+    """
+    loops = loop_counts or {}
+    degs = [len(g.incidence[v]) + loops.get(v, 0) for v in hall]
+    supply = len({e for v in hall for e in g.incidence[v]})
+    supply += sum(loops.get(v, 0) for v in hall)
+
+    def satisfiable(t: int) -> bool:
+        demand = sum(_demand(d, g.capacities[v], t, objective) for v, d in zip(hall, degs))
+        return demand <= supply
+
+    targets = range(x + 1, delta + 1)
+    i = bisect_left(targets, True, key=satisfiable)
+    return targets[i] if i < len(targets) else None
+
+
 def test_x(g: Graph, x: int, start: Orientation) -> Orientation | None:
     """Exact feasibility probe for one target.
 
@@ -184,7 +248,7 @@ def test_x(g: Graph, x: int, start: Orientation) -> Orientation | None:
     max flow saturates every sink arc; the result does not depend on the
     starting orientation, only possibly on which witness is returned.
     """
-    return _test_x(g, x, start, None)
+    return _test_x(g, x, start, None, "star", [])
 
 
 test_x.__test__ = False  # not a pytest case despite the name
@@ -195,11 +259,13 @@ def _default_orientation(g: Graph) -> Orientation:
     return Orientation(tuple(nodes[1] for nodes in g.edges))
 
 
-def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResult:
+def solve_flow_seeded(
+    g: Graph, loop_counts: dict[int, int] | None, objective: str = "star"
+) -> SolveResult:
     """Solve a simple graph, optionally with loop seeds.
 
-    Probes the counting bound first, then the maximum degree, then
-    bisects between them.
+    ``objective="ind"`` minimizes the max indegree instead of the star
+    count; its witness coloring lets every tail own its edge.
     """
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind(
@@ -207,30 +273,33 @@ def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResu
             "have no flow formulation and multigraphs/self-loops go through "
             "preprocess_and_solve"
         )
-    delta = max(
-        len(g.incidence[v]) + (loop_counts.get(v, 0) if loop_counts else 0)
-        for v in range(g.n)
-    )
+    delta = max(_degrees(g, loop_counts))
     if delta == 0:
         return SolveResult(0, PartialColoring(()))
-    # Counting bound: node v sees indeg(v) + [v owns an edge] colors, so
-    # the sum over all nodes is m + #owners >= m + 1 and some node sees at
-    # least ceil((m+1)/n).  Capacities can only raise x*.
-    lo = max(1, -(-(g.m + 1) // g.n))
+    # Counting bounds: the indegrees sum to m; node v sees indeg(v) + [v owns
+    # an edge] colors, which sum to at least m + 1.
+    lo = -(-g.m // g.n) if objective == "ind" else max(1, -(-(g.m + 1) // g.n))
     start = _default_orientation(g)
-    best = _test_x(g, lo, start, loop_counts)
-    if best is not None:
-        return SolveResult(lo, orientation_to_owner(g, best))
-    best = _test_x(g, delta, start, loop_counts) if lo < delta else None
+    hall: list[int] = []
+    for _ in range((delta - 1).bit_length() + 1):
+        best = _test_x(g, lo, start, loop_counts, objective, hall)
+        if best is not None:
+            return SolveResult(lo, orientation_to_owner(g, best))
+        lo = _next_target(g, hall, lo, delta, loop_counts, objective)
+        if lo is None:
+            return SolveResult(INFEASIBLE, None)
+    # The cuts raised the bound slowly: bisect over [lo, delta] instead,
+    # still raising lo to the bound of every failed probe.
+    best = _test_x(g, delta, start, loop_counts, objective, hall)
     if best is None:
         return SolveResult(INFEASIBLE, None)
-    lo, hi = lo + 1, delta
+    hi = delta
     while lo < hi:
         mid = (lo + hi) // 2
         # Warm start from the last successful witness; purely an optimization.
-        cand = _test_x(g, mid, best, loop_counts)
+        cand = _test_x(g, mid, best, loop_counts, objective, hall)
         if cand is None:
-            lo = mid + 1
+            lo = _next_target(g, hall, mid, delta, loop_counts, objective)
         else:
             hi, best = mid, cand
     return SolveResult(hi, orientation_to_owner(g, best))
@@ -239,8 +308,8 @@ def solve_flow_seeded(g: Graph, loop_counts: dict[int, int] | None) -> SolveResu
 def minimum_star_coloring_flow(g: Graph) -> SolveResult:
     """Compute the optimal star partition of a simple connected graph.
 
-    Probes the counting bound, then binary-searches above it; each probe
-    costs one unit-capacity max flow.  Infeasibility surfaces as a failed
-    probe at the loosest target.
+    Probes the counting bound, then the bounds of failed probes' Hall
+    sets; each probe costs one unit-capacity max flow.  Infeasibility
+    surfaces as a Hall set violated at every target.
     """
     return solve_flow_seeded(g, None)

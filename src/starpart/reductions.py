@@ -20,7 +20,8 @@ from .coloring import (
     owner_to_orientation,
 )
 from .errors import CapacitiesPresent, InvalidColoring
-from .flow_solver import minimum_star_coloring_flow
+from .dfs_solver import minimum_star_coloring
+from .flow_solver import minimum_star_coloring_flow, solve_flow_seeded
 from .graph import Graph, GraphKind, build_graph
 
 #: An indegree instance is just a capacitated graph.
@@ -90,14 +91,26 @@ def max_indegree(g: Graph, orientation: Orientation) -> int:
     return max(indeg) if indeg else 0
 
 
-def solve_min_max_ind(inst: IndInstance) -> tuple[int | float, Orientation | None]:
-    """Optimal capacity-feasible orientation minimizing the max indegree."""
+def solve_min_max_ind(
+    inst: IndInstance, algo: str = "flow"
+) -> tuple[int | float, Orientation | None]:
+    """Optimal capacity-feasible orientation minimizing the max indegree.
+
+    ``algo="flow"`` runs the flow search on the graph itself; ``"dfs"``
+    solves the pendant star instance by depth-first recoloring.
+    """
+    if algo == "flow":
+        res = solve_flow_seeded(inst, None, "ind")
+        if not res.feasible:
+            return INFEASIBLE, None
+        return res.value, owner_to_orientation(inst, res.coloring)
+    if algo != "dfs":
+        raise ValueError(f"unknown algo {algo!r}")
     red = ind_to_star(inst)
-    res = minimum_star_coloring_flow(red.reduced)
+    res = minimum_star_coloring(red.reduced)
     if not res.feasible:
         return INFEASIBLE, None
-    orientation = recover_ind_solution(red, res.coloring)
-    return res.value - 1, orientation
+    return res.value - 1, recover_ind_solution(red, res.coloring)
 
 
 def simultaneous_optimum(g: Graph) -> tuple[Orientation, int, int]:

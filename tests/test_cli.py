@@ -413,3 +413,19 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("approx_objective, verify_objective", [("wind", "ind"), ("wstar", "star")])
+def test_approx_out_verifies(tmp_path, capsys, approx_objective, verify_objective):
+    inst = tmp_path / "weighted.graph"
+    inst.write_text(
+        "kind simple\nnode a w=2\nnode b w=3\nnode c w=1\nnode d w=4\n"
+        "edge a b\nedge b c\nedge c d\nedge a d\nedge a c\n"
+    )
+    sol = tmp_path / "approx.sol"
+    assert main(["approx", str(inst), "--objective", approx_objective, "--out", str(sol)]) == 0
+    value = capsys.readouterr().out.splitlines()[0].split()[1]
+    assert main(
+        ["verify", str(inst), str(sol), "--objective", verify_objective, "--bound", value]
+    ) == 0
+    assert capsys.readouterr().out.strip() == f"ok value {value}"

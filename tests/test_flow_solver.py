@@ -238,3 +238,153 @@ def test_counting_bound_proves_optimality_in_one_probe(monkeypatch):
     monkeypatch.setattr(flow_solver, "_test_x", counted)
     assert minimum_star_coloring_flow(g).value == bound
     assert calls == [bound]
+
+
+def _hall_violation(g, x, hall, loop_counts, objective):
+    """need(S) - (|edges meeting S| + loops(S)), from the graph alone."""
+    loops = loop_counts or {}
+    need = 0
+    for v in hall:
+        deg = len(g.incidence[v]) + loops.get(v, 0)
+        reach = min(g.capacities[v], x)
+        if objective == "ind":
+            need += max(0, deg - reach)
+        elif deg - reach + 1 >= 2:
+            need += deg - reach + 1
+    inside = set(hall)
+    meeting = sum(1 for a, b in g.edges if a in inside or b in inside)
+    return need - meeting - sum(loops.get(v, 0) for v in hall)
+
+
+def _ind_suite():
+    rng = random.Random(67)
+    for trial in range(320):
+        yield _random_small_graph(rng, GraphKind.SIMPLE, capped=trial % 2 == 1)
+
+
+def test_ind_flow_matches_brute_force():
+    from starpart import brute_force_kstar, max_indegree, solve_min_max_ind
+
+    infeasible = 0
+    for g in _ind_suite():
+        value, orientation = solve_min_max_ind(g)
+        assert value == brute_force_kstar(g)[0], (g.edges, g.capacities)
+        if orientation is None:
+            infeasible += 1
+            continue
+        indeg = [0] * g.n
+        for h in orientation.head:
+            indeg[h] += 1
+        assert max_indegree(g, orientation) == value
+        assert all(indeg[v] <= g.capacities[v] for v in range(g.n))
+    assert infeasible
+
+
+def test_failed_probes_leave_violated_hall_sets(monkeypatch):
+    import starpart.flow_solver as flow_solver
+    from starpart import preprocess_and_solve, solve_min_max_ind
+
+    failures = []
+    probe = flow_solver._test_x
+
+    def recorded(*args):
+        result = probe(*args)
+        if result is None:
+            g, x, _, loop_counts, objective, hall = args
+            failures.append((g, x, list(hall), loop_counts, objective))
+        return result
+
+    monkeypatch.setattr(flow_solver, "_test_x", recorded)
+    for g in _ind_suite():
+        solve_min_max_ind(g)
+    rng = random.Random(71)
+    for trial in range(150):
+        g = _random_small_graph(rng, GraphKind.WITH_SELF_LOOPS, capped=trial % 2 == 1)
+        preprocess_and_solve(g, "flow")
+    objectives = {objective for *_, objective in failures}
+    assert objectives == {"ind", "star"}
+    assert any(loops for _, _, _, loops, _ in failures)
+    for g, x, hall, loops, objective in failures:
+        assert hall
+        assert _hall_violation(g, x, hall, loops, objective) > 0, (g.edges, x, hall)
+
+
+def _nested_cliques():
+    """Cliques on 4, 8, 16 and 32 nodes chained by bridges, then a 540-node path.
+
+    The path holds the counting bound at 2 while x* is 17 and k* is 16, so
+    single steps from the bound would take more probes than the guard allows.
+    """
+    edges, base = [], 0
+    for size in (4, 8, 16, 32):
+        nodes = range(base, base + size)
+        edges += [(a, b) for a in nodes for b in nodes if a < b]
+        if base:
+            edges.append((base - 1, base))
+        base += size
+    edges += [(v, v + 1) for v in range(base - 1, base + 539)]
+    return build_graph(base + 540, edges)
+
+
+def test_slowest_cut_steps_keep_logarithmic_probes(monkeypatch):
+    import starpart.flow_solver as flow_solver
+    from starpart import solve_min_max_ind
+
+    g = _nested_cliques()
+    delta = max(len(inc) for inc in g.incidence)
+    expected_x = minimum_star_coloring(g).value
+    expected_k = solve_min_max_ind(g, "dfs")[0]
+    calls = []
+    probe = flow_solver._test_x
+
+    def counted(*args):
+        calls.append(args[1])
+        return probe(*args)
+
+    monkeypatch.setattr(flow_solver, "_test_x", counted)
+    monkeypatch.setattr(flow_solver, "_next_target", lambda g, hall, x, *rest: x + 1)
+    limit = 2 * (delta - 1).bit_length() + 3
+    assert minimum_star_coloring_flow(g).value == expected_x
+    assert len(calls) <= limit
+    calls.clear()
+    assert solve_min_max_ind(g)[0] == expected_k
+    assert len(calls) <= limit
+
+
+def test_ind_cli_solves_planted_capacities_on_the_original_graph(monkeypatch, tmp_path, capsys):
+    import starpart.cli as cli
+    import starpart.flow_solver as flow_solver
+    import starpart.reductions as reductions
+    from starpart.instance_io import Instance, format_instance
+
+    rng = random.Random(73)
+    base = generate(GeneratorSpec("random", n=200, m=1600, seed=73))
+    indeg = [0] * base.n
+    for edge in base.edges:
+        indeg[rng.choice(edge)] += 1
+    caps = [indeg[v] + rng.randint(0, 2) for v in range(base.n)]
+    g = build_graph(base.n, base.edges, capacities=caps)
+    path = tmp_path / "planted.graph"
+    names = tuple(f"v{v}" for v in range(g.n))
+    path.write_text(format_instance(Instance(graph=g, node_names=names)))
+
+    def forbidden(*args):
+        raise AssertionError("the flow path must not build the pendant graph")
+
+    monkeypatch.setattr(reductions, "ind_to_star", forbidden)
+    monkeypatch.setattr(cli, "ind_to_star", forbidden)
+    calls = []
+    probe = flow_solver._test_x
+
+    def counted(*args):
+        calls.append(args[1])
+        return probe(*args)
+
+    monkeypatch.setattr(flow_solver, "_test_x", counted)
+    sol = tmp_path / "planted.sol"
+    assert cli.main(["solve", str(path), "--objective", "ind", "--out", str(sol)]) == 0
+    value = capsys.readouterr().out.split()[1]
+    assert 1 <= len(calls) <= 3
+    assert cli.main(
+        ["verify", str(path), str(sol), "--objective", "ind", "--bound", value]
+    ) == 0
