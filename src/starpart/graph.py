@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -105,23 +104,24 @@ def _check_shapes(kind: GraphKind, edges: list[tuple[int, ...]]) -> None:
             raise NonLinearHypergraph(i, j, tuple(sorted(shared)))
 
 
-def _check_connected(n: int, incidence: list[list[int]], edges: list[tuple[int, ...]]) -> None:
-    # Node-level BFS through shared edges; for hypergraphs this is
-    # connectivity of the bipartite node-edge incidence.
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for e in incidence[v]:
-            for w in edges[e]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-    if count != n:
-        missing = next(v for v in range(n) if not seen[v])
+def _check_connected(n: int, edges: list[tuple[int, ...]]) -> None:
+    # Union-find with path halving, each set rooted at its least node; an
+    # edge joins all its members, so hypergraphs use the node-edge incidence.
+    parent = list(range(n))
+    components = n
+    for e in edges:
+        a = e[0]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        for b in e:
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[max(a, b)] = a = min(a, b)
+                components -= 1
+    if components != 1:
+        # the least node outside node 0's set is the root of its own set
+        missing = next(v for v in range(1, n) if parent[v] == v)
         raise Disconnected(f"node {missing} is not reachable from node 0")
 
 
@@ -140,16 +140,31 @@ def build_graph(
     """
     if n < 1:
         raise EmptyGraph("a graph needs at least one node")
-    norm = [_normalize_edge(e, n) for e in edges]
-    _check_shapes(kind, norm)
-
+    # Pairs of in-range ints that are already ordered skip normalization;
+    # every other edge takes the general path and its checks.
+    norm: list[tuple[int, ...]] = []
     incidence: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(norm):
+    pairs_only = True
+    for i, e in enumerate(edges):
+        if type(e) is tuple and len(e) == 2:
+            a, b = e
+            if type(a) is int and type(b) is int and 0 <= a < b < n:
+                incidence[a].append(i)
+                incidence[b].append(i)
+                norm.append(e)
+                continue
+        e = _normalize_edge(e, n)
         for v in e:
             incidence[v].append(i)
-    _check_connected(n, incidence, norm)
+        pairs_only = pairs_only and len(e) == 2
+        norm.append(e)
+    # Distinct pairs pass every shape check of every kind: a pair is its
+    # own only node pair, so linearity reduces to distinctness.
+    if not (pairs_only and (kind is GraphKind.MULTI or len(set(norm)) == len(norm))):
+        _check_shapes(kind, norm)
+    _check_connected(n, norm)
 
-    delta = max(len(inc) for inc in incidence)
+    delta = max(map(len, incidence))
     if capacities is None:
         caps = (delta,) * n
     else:

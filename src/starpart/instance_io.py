@@ -43,10 +43,9 @@ class Instance:
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            yield lineno, parts
 
 
 def parse_instance(text: str) -> Instance:
@@ -56,16 +55,26 @@ def parse_instance(text: str) -> Instance:
     caps: dict[int, int] = {}
     weights: dict[int, int] = {}
     edges: list[tuple[int, ...]] = []
-    edge_lines: list[int] = []
 
     for lineno, parts in _content_lines(text):
         tag = parts[0]
-        if tag == "kind":
-            if kind is not None:
-                raise ParseError(lineno, "duplicate kind line")
-            if len(parts) != 2 or parts[1] not in _KIND_NAMES:
-                raise ParseError(lineno, f"kind must be one of {sorted(_KIND_NAMES)}")
-            kind = _KIND_NAMES[parts[1]]
+        if tag == "edge":
+            # Fast path: two declared names, emitted already normalized.
+            # Anything else falls through to the checks below.
+            if len(parts) == 3:
+                a = ids.get(parts[1])
+                b = ids.get(parts[2])
+                if a is not None and b is not None:
+                    edges.append((a, b) if a < b else (b, a) if b < a else (a,))
+                    continue
+            if kind is None:
+                raise ParseError(lineno, "kind line must come first")
+            if len(parts) < 3:
+                raise ParseError(lineno, "edge line needs at least two node names")
+            for name in parts[1:]:
+                if name not in ids:
+                    raise ParseError(lineno, f"edge references undeclared node {name!r}")
+            edges.append(tuple(sorted({ids[name] for name in parts[1:]})))
         elif tag == "node":
             if kind is None:
                 raise ParseError(lineno, "kind line must come first")
@@ -83,18 +92,12 @@ def parse_instance(text: str) -> Instance:
                     weights[ids[name]] = _parse_int(lineno, token[2:], minimum=1)
                 else:
                     raise ParseError(lineno, f"unknown node attribute {token!r}")
-        elif tag == "edge":
-            if kind is None:
-                raise ParseError(lineno, "kind line must come first")
-            if len(parts) < 3:
-                raise ParseError(lineno, "edge line needs at least two node names")
-            members = []
-            for name in parts[1:]:
-                if name not in ids:
-                    raise ParseError(lineno, f"edge references undeclared node {name!r}")
-                members.append(ids[name])
-            edges.append(tuple(members))
-            edge_lines.append(lineno)
+        elif tag == "kind":
+            if kind is not None:
+                raise ParseError(lineno, "duplicate kind line")
+            if len(parts) != 2 or parts[1] not in _KIND_NAMES:
+                raise ParseError(lineno, f"kind must be one of {sorted(_KIND_NAMES)}")
+            kind = _KIND_NAMES[parts[1]]
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 
@@ -105,12 +108,11 @@ def parse_instance(text: str) -> Instance:
 
     cap_list = None
     if caps:
-        # Unspecified capacities default to the maximum degree; a node
-        # repeated inside one edge (a loop 'v v') counts once, as in
-        # build_graph.
+        # Unspecified capacities default to the maximum degree; edges are
+        # normalized, so a loop 'v v' counts once, as in build_graph.
         deg = [0] * len(names)
-        for members in edges:
-            for v in set(members):
+        for e in edges:
+            for v in e:
                 deg[v] += 1
         delta = max(deg)
         cap_list = [caps.get(v, delta) for v in range(len(names))]
@@ -154,24 +156,33 @@ def parse_solution(text: str, inst: Instance) -> tuple[dict[int, int], int | flo
     ids = inst.name_to_id()
     owners: dict[int, int] = {}
     value: int | float | None = None
+    m = inst.graph.m
     for lineno, parts in _content_lines(text):
-        if parts[0] == "owner":
+        tag = parts[0]
+        if tag == "owner":
+            # Fast path: a plain, in-range, new edge index and a known name;
+            # anything else falls through to the checks below.
+            if len(parts) == 3 and parts[1].isdecimal():
+                e, o = int(parts[1]), ids.get(parts[2])
+                if o is not None and e < m and e not in owners:
+                    owners[e] = o
+                    continue
             if len(parts) != 3:
                 raise ParseError(lineno, "owner line needs an edge index and a node name")
             e = _parse_int(lineno, parts[1], minimum=0)
-            if e >= inst.graph.m:
+            if e >= m:
                 raise ParseError(lineno, f"edge index {e} out of range")
             if e in owners:
                 raise ParseError(lineno, f"duplicate owner for edge {e}")
             if parts[2] not in ids:
                 raise ParseError(lineno, f"unknown node name {parts[2]!r}")
             owners[e] = ids[parts[2]]
-        elif parts[0] == "value":
+        elif tag == "value":
             if len(parts) != 2:
                 raise ParseError(lineno, "value line needs one token")
             value = INFEASIBLE if parts[1] == "INFEASIBLE" else _parse_int(lineno, parts[1], 0)
         else:
-            raise ParseError(lineno, f"unknown line tag {parts[0]!r}")
+            raise ParseError(lineno, f"unknown line tag {tag!r}")
     return owners, value
 
 

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph
@@ -31,6 +29,7 @@ FIG6D_EDGES = ((0, 2), (2, 3), (0, 4), (2, 4), (3, 4), (2, 5), (2, 6), (5, 6), (
 
 
 def _bit_chunks(m: int):
+    import numpy as np
     total = 1 << m
     shifts = np.arange(m, dtype=np.uint32)
     for lo in range(0, total, _CHUNK):
@@ -42,6 +41,7 @@ def _bit_chunks(m: int):
 
 
 def _two_endpoint_tables(g: Graph, choice: list[int]):
+    import numpy as np
     # T0[j, v] = 1 if bit 0 of choice edge j sends an in-edge to v; T1 likewise.
     n = g.n
     t0 = np.zeros((len(choice), n), dtype=np.float32)
@@ -54,6 +54,7 @@ def _two_endpoint_tables(g: Graph, choice: list[int]):
 
 
 def _scan_min(values, valid, offset, best):
+    import numpy as np
     # Keep the first minimal index in counter order across chunks.
     if not valid.any():
         return best
@@ -92,6 +93,7 @@ def brute_force_xstar(g: Graph) -> SolveResult:
 
 
 def _xstar_two_endpoint(g: Graph) -> SolveResult:
+    import numpy as np
     n = g.n
     choice = [e for e, nodes in enumerate(g.edges) if len(nodes) == 2]
     has_loop = np.zeros(n, dtype=bool)
@@ -138,6 +140,7 @@ def _xstar_two_endpoint(g: Graph) -> SolveResult:
 
 
 def _xstar_general(g: Graph) -> SolveResult:
+    import numpy as np
     radices = [len(nodes) for nodes in g.edges]
     total = 1
     for r in radices:
@@ -194,6 +197,7 @@ def brute_force_kstar(g: Graph) -> tuple[int | float, Orientation | None]:
         raise UnsupportedKind("orientations need two-endpoint edges")
     if g.m == 0:
         return 0, Orientation(())
+    import numpy as np
     caps = np.asarray(g.capacities, dtype=np.float32)
     t0, t1 = _two_endpoint_tables(g, list(range(g.m)))
     best = None
@@ -366,33 +370,35 @@ def _random_connected_edges(n: int, m: int, rng: random.Random) -> list[tuple[in
 def _random_linear_hyper(n: int, m: int, max_size: int, rng: random.Random):
     if max_size < 2:
         raise InvalidSpec("max_edge_size must be at least 2")
-    for _ in range(400):
-        used_pairs: set[frozenset[int]] = set()
-        edges: list[tuple[int, ...]] = []
-        covered: set[int] = set()
-        stuck = False
-        for j in range(m):
-            for _ in range(200):
-                size = rng.randint(2, min(max_size, n))
-                if j == 0:
-                    nodes = rng.sample(range(n), size)
-                else:
-                    anchor = rng.choice(sorted(covered))
-                    pool = [v for v in range(n) if v != anchor]
-                    nodes = [anchor] + rng.sample(pool, size - 1)
-                pairs = {frozenset(p) for p in combinations(nodes, 2)}
-                if pairs & used_pairs:
-                    continue
-                used_pairs |= pairs
-                edges.append(tuple(sorted(nodes)))
-                covered |= set(nodes)
-                break
-            else:
-                stuck = True
-                break
-        if not stuck and len(covered) == n:
-            return edges
-    raise InvalidSpec(f"could not realize a connected linear hypergraph n={n}, m={m}")
+    # A random spanning hypertree: each edge joins one covered node to s new
+    # ones, widest first.  Narrowing an edge (s -> s-1, plus a pair) frees
+    # s-1 node pairs for the m - tree further edges, which are unused pairs.
+    q, r = divmod(n - 1, min(max_size, n) - 1)
+    sizes = [min(max_size, n) - 1] * q + [r] * (r > 0)
+    free = n * (n - 1) // 2 - sum(s * (s + 1) // 2 for s in sizes)
+    i = 0
+    while m - len(sizes) > free and sizes[i] > 1:
+        free += sizes[i] - 1
+        sizes[i] -= 1
+        sizes.append(1)
+        i += sizes[i] == 1
+    if not len(sizes) <= m <= len(sizes) + free:
+        raise InvalidSpec(f"no connected linear hypergraph with n={n}, m={m}, "
+                          f"max_edge_size={max_size}")
+    order = list(range(n))
+    rng.shuffle(order)
+    edges, covered = [], 1
+    for s in sizes:
+        edges.append(tuple(sorted([order[rng.randrange(covered)]] + order[covered:covered + s])))
+        covered += s
+    used = {pair for e in edges for pair in combinations(e, 2)}
+    while len(edges) < m:
+        pair = tuple(sorted(rng.sample(range(n), 2)))
+        if pair not in used:
+            used.add(pair)
+            edges.append(pair)
+    rng.shuffle(edges)
+    return edges
 
 
 def generate(spec: GeneratorSpec) -> Graph:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coloring import Orientation, PartialColoring, orientation_to_owner
 from .errors import NoOutgoingEdge, NotPseudoforest, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph
 from .lp import find_basic_feasible
+from .oracle import _bit_chunks, _two_endpoint_tables
 
 _WEIGHTED_GUARD = 24
 
@@ -66,30 +65,19 @@ def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orient
         raise TooLarge(f"{g.m} edges exceed the enumeration guard {_WEIGHTED_GUARD}")
     if g.m == 0:
         return 0, Orientation(())
-
+    import numpy as np
     n, m = g.n, g.m
     w = np.asarray(weights, dtype=np.float64)
+    t0c, t1c = _two_endpoint_tables(g, list(range(m)))
     t0w = np.zeros((m, n))
     t1w = np.zeros((m, n))
-    t0c = np.zeros((m, n))
-    t1c = np.zeros((m, n))
     for e, (lo, hi) in enumerate(g.edges):
         t0w[e, hi] = w[lo]  # bit 0: tail lo, head hi
         t1w[e, lo] = w[hi]
-        t0c[e, hi] = 1.0
-        t1c[e, lo] = 1.0
-    deg = np.zeros(n)
-    for e, nodes in enumerate(g.edges):
-        for v in nodes:
-            deg[v] += 1
+    deg = np.asarray([len(inc) for inc in g.incidence], dtype=np.float64)
 
     best_val, best_idx = None, None
-    chunk = 1 << 16
-    shifts = np.arange(m, dtype=np.uint32)
-    for lo_i in range(0, 1 << m, chunk):
-        hi_i = min(lo_i + chunk, 1 << m)
-        idx = np.arange(lo_i, hi_i, dtype=np.uint32)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.float64)
+    for lo_i, bits in _bit_chunks(m):
         in_w = bits @ t1w + (1.0 - bits) @ t0w
         if objective == "star":
             in_c = bits @ t1c + (1.0 - bits) @ t0c

@@ -415,6 +415,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_and_verify_leave_numpy_unloaded(tmp_path):
+    inst = tmp_path / "path.graph"
+    inst.write_text("kind simple\nnode a\nnode b\nnode c\nedge a b\nedge b c\n")
+    sol = tmp_path / "path.sol"
+    sol.write_text("owner 0 b\nowner 1 b\nvalue 1\n")
+    code = (
+        "import sys, starpart, starpart.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "rc = starpart.cli.main(['verify', sys.argv[1], sys.argv[2]])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(inst), str(sol)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "ok value 1", "0 False"]
+
+
 @pytest.mark.parametrize("approx_objective, verify_objective", [("wind", "ind"), ("wstar", "star")])
 def test_approx_out_verifies(tmp_path, capsys, approx_objective, verify_objective):
     inst = tmp_path / "weighted.graph"

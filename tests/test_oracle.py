@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -212,6 +214,21 @@ def test_generate_deterministic_and_random_families():
 def test_generate_random_capacities_bounded_by_degree():
     g = generate(GeneratorSpec("random", n=8, m=12, seed=9, cap_rule="random"))
     assert all(0 <= g.capacities[v] <= len(g.incidence[v]) for v in range(g.n))
+
+
+def test_generate_large_linear_hypergraph_quickly():
+    start = time.perf_counter()
+    g = generate(GeneratorSpec("hyper", n=500, m=500, seed=1))
+    assert time.perf_counter() - start < 2.0
+    assert g.n == 500 and g.m == 500 and max_edge_size(g) <= 3
+    pairs = [p for e in g.edges for p in itertools.combinations(e, 2)]
+    assert len(pairs) == len(set(pairs))  # linear: no node pair in two edges
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [w for v in frontier for e in g.incidence[v] for w in g.edges[e] if w not in seen]
+        seen.update(frontier)
+    assert len(seen) == g.n
 
 
 def test_generate_invalid_specs():
