@@ -215,9 +215,3 @@ def parse_binpack(text: str) -> BinPackingInstance:
     if not sizes:
         raise ParseError(1, "no items declared")
     return BinPackingInstance(sizes=tuple(sizes), bins=bins, capacity=capacity)
-
-
-def format_binpack(bp: BinPackingInstance) -> str:
-    lines = [f"bins {bp.bins} {bp.capacity}"]
-    lines += [f"item {s}" for s in bp.sizes]
-    return "\n".join(lines) + "\n"

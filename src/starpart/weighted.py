@@ -268,49 +268,37 @@ class FractionalOrientation:
         return total
 
 
-def lp_feasible(g: Graph, weights, limit: int, rule: str = "bland") -> FractionalOrientation | None:
+def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
     """Basic feasible point of the load LP at the given limit, if any.
 
     Edge shares must be non-negative and sum to one per edge, a share is
     forbidden outright when its cost alone exceeds the limit, and every
-    node's load stays within the limit.  The returned point is a vertex,
-    so its strictly fractional edges form a pseudoforest.  ``rule`` picks
-    the simplex pivot rule and thereby possibly a different vertex.
+    node's load stays within the limit.  The returned point is an exact
+    vertex, so its strictly fractional edges form a pseudoforest.
     """
     _check_pairs(g)
     weights = tuple(int(x) for x in weights)
-    forced_load = [0] * g.n
-    free_edges = []  # (edge id, var index of the lo share)
-    var_count = 0
+    slack = [limit] * g.n  # what each node's free shares may still add
+    node_terms: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    free_edges, eq_rows = [], []  # free_edges: (edge id, var index of the lo share)
     for e, (lo, hi) in enumerate(g.edges):
-        cost_lo, cost_hi = weights[hi], weights[lo]  # cost of assigning to lo / hi
-        ok_lo, ok_hi = cost_lo <= limit, cost_hi <= limit
-        if not ok_lo and not ok_hi:
-            return None
+        ok_lo, ok_hi = weights[hi] <= limit, weights[lo] <= limit  # cost of assigning to lo / hi
         if ok_lo and ok_hi:
-            free_edges.append((e, var_count))
-            var_count += 2
+            base = 2 * len(free_edges)
+            free_edges.append((e, base))
+            eq_rows.append(([(base, 1), (base + 1, 1)], 1))
+            node_terms[lo].append((base, weights[hi]))
+            node_terms[hi].append((base + 1, weights[lo]))
         elif ok_lo:
-            forced_load[lo] += cost_lo
+            slack[lo] -= weights[hi]
+        elif ok_hi:
+            slack[hi] -= weights[lo]
         else:
-            forced_load[hi] += cost_hi
-
-    node_terms: dict[int, list[tuple[int, Fraction]]] = {}
-    eq_rows = []
-    for e, base in free_edges:
-        lo, hi = g.edges[e]
-        eq_rows.append(([(base, Fraction(1)), (base + 1, Fraction(1))], Fraction(1)))
-        node_terms.setdefault(lo, []).append((base, Fraction(weights[hi])))
-        node_terms.setdefault(hi, []).append((base + 1, Fraction(weights[lo])))
-    ub_rows = []
-    for v in range(g.n):
-        slack = limit - forced_load[v]
-        if slack < 0:
             return None
-        if v in node_terms:
-            ub_rows.append((node_terms[v], Fraction(slack)))
-
-    solution = find_basic_feasible(var_count, eq_rows, ub_rows, rule=rule)
+    if any(s < 0 for s in slack):
+        return None
+    ub_rows = [(terms, s) for terms, s in zip(node_terms, slack) if terms]
+    solution = find_basic_feasible(2 * len(free_edges), eq_rows, ub_rows)
     if solution is None:
         return None
     return _assemble_fractional(g, weights, limit, free_edges, solution)
@@ -319,7 +307,7 @@ def lp_feasible(g: Graph, weights, limit: int, rule: str = "bland") -> Fractiona
 def _assemble_fractional(g, weights, limit, free_edges, solution) -> FractionalOrientation:
     one, zero = Fraction(1), Fraction(0)
     fractions: list[tuple[Fraction, Fraction]] = []
-    by_edge = {e: base for e, base in free_edges}
+    by_edge = dict(free_edges)
     for e, (lo, hi) in enumerate(g.edges):
         if e in by_edge:
             base = by_edge[e]
@@ -368,7 +356,7 @@ def round_fractional(frac: FractionalOrientation) -> Orientation:
         if len(comp_edges) == len(comp_nodes):
             _orient_unicyclic(g, frac_adj, comp_nodes, heads)
         else:
-            _orient_tree(g, frac_adj, min(comp_nodes), heads)
+            _orient_tree(g, frac_adj, [min(comp_nodes)], heads)
     return Orientation(tuple(heads))
 
 
@@ -385,9 +373,9 @@ def _component(adj, start):
     return nodes, edges
 
 
-def _orient_tree(g, adj, root, heads):
-    queue = [root]
-    seen = {root}
+def _orient_tree(g, adj, roots, heads):
+    queue = list(roots)
+    seen = set(roots)
     for v in queue:
         for w, e in adj[v]:
             if w not in seen and heads[e] is None:
@@ -430,14 +418,7 @@ def _orient_unicyclic(g, adj, comp_nodes, heads):
         if e not in removed and heads[e] is None and w == start:
             heads[e] = w
     # Hang the stripped trees off the cycle, pointing away from it.
-    seen = set(cycle_nodes)
-    queue = list(cycle_nodes)
-    for v in queue:
-        for w, e in adj[v]:
-            if heads[e] is None and w not in seen:
-                heads[e] = w
-                seen.add(w)
-                queue.append(w)
+    _orient_tree(g, adj, cycle_nodes, heads)
 
 
 # --- approximation algorithms ------------------------------------------------
@@ -456,9 +437,17 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
     if g.m == 0:
         return Orientation(()), 0
     lo = max(min(w[a], w[b]) for a, b in g.edges)
-    hi = sum(w)
+    # Greedy integral orientation: each edge goes to the endpoint whose load
+    # plus cost is smaller; every cost is then at most its value.
+    load = [0] * g.n
+    for a, b in g.edges:
+        if load[a] + w[b] <= load[b] + w[a]:
+            load[a] += w[b]
+        else:
+            load[b] += w[a]
+    hi = max(load)
     frac = lp_feasible(g, w, hi)
-    assert frac is not None, "the load LP is always feasible at the weight total"
+    assert frac is not None, "the load LP is feasible at an integral orientation's value"
     while lo < hi:
         mid = (lo + hi) // 2
         cand = lp_feasible(g, w, mid)
@@ -466,20 +455,9 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
             lo = mid + 1
         else:
             hi, frac = mid, cand
-    orientation = _round_with_retry(g, w, hi, frac)
+    orientation = round_fractional(frac)
     value = max(weighted_indeg_value(g, w, orientation, v) for v in range(g.n))
     return orientation, value
-
-
-def _round_with_retry(g, w, limit, frac):
-    try:
-        return round_fractional(frac)
-    except NotPseudoforest:
-        # Retry from a different vertex; only a non-basic point can fail.
-        retry = lp_feasible(g, w, limit, rule="dantzig")
-        if retry is None:
-            raise
-        return round_fractional(retry)
 
 
 def approx4_wstar(g: Graph, weights=None) -> tuple[PartialColoring, int]:

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
-from starpart import build_graph, generate, GeneratorSpec, lp_feasible
+import pytest
+
+from starpart import brute_force_weighted, build_graph, generate, GeneratorSpec, lp_feasible
 from starpart.lp import find_basic_feasible
 
 F = Fraction
@@ -49,17 +52,14 @@ def test_pivot_rules_agree_on_feasibility():
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
         limit = rng.randint(1, sum(w))
-        a = lp_feasible(g, w, limit)
-        b = lp_feasible(g, w, limit, rule="dantzig")
-        assert (a is None) == (b is None)
-        for frac in (a, b):
-            if frac is None:
-                continue
-            for v in range(n):
-                assert frac.load(v) <= limit
-            for e in range(g.m):
-                f_lo, f_hi = frac.fractions[e]
-                assert f_lo >= 0 and f_hi >= 0 and f_lo + f_hi == 1
+        frac = lp_feasible(g, w, limit)
+        if frac is None:
+            continue
+        for v in range(n):
+            assert frac.load(v) <= limit
+        for e in range(g.m):
+            f_lo, f_hi = frac.fractions[e]
+            assert f_lo >= 0 and f_hi >= 0 and f_lo + f_hi == 1
 
 
 def test_basic_solutions_have_pseudoforest_support():
@@ -108,3 +108,73 @@ def test_lp_monotone_in_limit():
         flags = [lp_feasible(g, w, t) is not None for t in range(0, sum(w) + 1)]
         assert flags == sorted(flags)
         assert flags[-1]
+
+
+def _pseudoforest(g, frac):
+    """Whether the strictly fractional edges have at most one cycle per component."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    fractional = [e for e in range(g.m) if 0 < frac.fractions[e][0] < 1]
+    for e in fractional:
+        a, b = g.edges[e]
+        parent[find(a)] = find(b)
+    edges_in: dict[int, int] = {}
+    nodes_in: dict[int, set] = {}
+    for e in fractional:
+        root = find(g.edges[e][0])
+        edges_in[root] = edges_in.get(root, 0) + 1
+        nodes_in.setdefault(root, set()).update(g.edges[e])
+    return all(count <= len(nodes_in[root]) for root, count in edges_in.items())
+
+
+def test_exact_vertex_on_heavy_weights():
+    rng = random.Random(97)
+    for trial in range(210):
+        n = rng.randint(2, 8)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 14))
+        g0 = generate(GeneratorSpec("random", n=n, m=m, seed=300 + trial))
+        w = [rng.randint(1, 1000) for _ in range(n)]
+        g = build_graph(n, g0.edges, weights=w)
+
+        def feasible(limit):
+            frac = lp_feasible(g, w, limit)
+            if frac is None:
+                return False
+            assert all(frac.load(v) <= limit for v in range(n))
+            assert all(type(f) is Fraction and f >= 0 for pair in frac.fractions for f in pair)
+            assert all(f_lo + f_hi == 1 for f_lo, f_hi in frac.fractions)
+            assert _pseudoforest(g, frac)
+            return True
+
+        lo, hi = 0, sum(w)
+        assert feasible(hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        least = hi
+        limits = sorted({least - 1, least, *(rng.randint(0, sum(w)) for _ in range(4))})
+        flags = [feasible(t) for t in limits if t >= 0]
+        assert flags == sorted(flags)
+        assert feasible(least) and (least == 0 or not feasible(least - 1))
+        if m <= 12:
+            assert least <= brute_force_weighted(g, w, "ind")[0]
+
+
+def test_non_basic_point_is_refused(monkeypatch):
+    import scipy.optimize
+
+    def midpoint(*args, **kwargs):  # feasible for x0 + x1 = 1, but not a vertex
+        return SimpleNamespace(status=0, x=[0.5, 0.5], slack=[], message="")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", midpoint)
+    with pytest.raises(ArithmeticError):
+        find_basic_feasible(2, [([(0, F(1)), (1, F(1))], F(1))], [])
