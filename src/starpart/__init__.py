@@ -83,66 +83,51 @@ from .weighted import (
     weighted_star_value,
 )
 
+# The solving surface.  Helpers such as test_x, slackness, max_flow_unit
+# and lower_demand stay importable from here but are not exported.
 __all__ = [
-    "INFEASIBLE",
-    "BinPackingInstance",
-    "FlowNetwork",
-    "FractionalOrientation",
-    "GadgetReduction",
-    "GeneratorSpec",
+    # graph construction
     "Graph",
     "GraphKind",
-    "IntegralFlow",
-    "Orientation",
-    "PartialColoring",
-    "PendantReduction",
-    "SearchState",
-    "SolveResult",
-    "StarDecomposition",
-    "approx2_wind",
-    "approx4_wstar",
-    "binpacking_to_wind",
-    "brute_force_kstar",
-    "brute_force_weighted",
-    "brute_force_xstar",
-    "build_flow_network",
     "build_graph",
-    "closed_form",
-    "color_count",
-    "color_one_edge",
-    "degree",
-    "ensure_feasibility",
-    "extract_packing",
-    "extract_self_loops",
-    "extract_stars",
-    "gadget_orientation",
-    "gadget_transform",
-    "generate",
-    "ind_to_star",
-    "is_valid",
-    "lower_demand",
-    "lp_feasible",
-    "max_degree",
-    "max_edge_size",
-    "max_flow_unit",
-    "max_indegree",
-    "merge_parallel_edges",
+    # exact solvers
     "minimum_star_coloring",
     "minimum_star_coloring_flow",
-    "orientation_to_owner",
-    "owner_to_orientation",
-    "packing_to_orientation",
     "preprocess_and_solve",
-    "recover_ind_solution",
-    "round_fractional",
-    "simultaneous_optimum",
-    "slackness",
     "solve_min_max_ind",
-    "solve_with_state",
+    "simultaneous_optimum",
+    # reductions
+    "ind_to_star",
+    "recover_ind_solution",
+    "gadget_transform",
+    "binpacking_to_wind",
+    "extract_packing",
+    # approximations
+    "approx2_wind",
+    "approx4_wstar",
+    # oracles and generators
+    "brute_force_xstar",
+    "brute_force_kstar",
+    "brute_force_weighted",
+    "closed_form",
+    "GeneratorSpec",
+    "generate",
+    # evaluation
     "star_partition_value",
-    "test_x",
+    "is_valid",
+    "max_indegree",
     "weighted_indeg_value",
     "weighted_star_value",
+    "owner_to_orientation",
+    "orientation_to_owner",
+    # result types
+    "INFEASIBLE",
+    "SolveResult",
+    "PartialColoring",
+    "Orientation",
+    "PendantReduction",
+    "GadgetReduction",
+    "BinPackingInstance",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .coloring import (
 from .dfs_solver import minimum_star_coloring, preprocess_and_solve
 from .errors import StarPartError, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow
-from .graph import Graph, GraphKind, build_graph
+from .graph import Graph, GraphKind, build_graph, other_end
 from .instance_io import (
     Instance,
     format_instance,
@@ -152,17 +152,19 @@ def _default_seed(explicit) -> int:
 # --- solve -------------------------------------------------------------------
 
 
-def _is_weighted(g: Graph) -> bool:
-    return any(w != 1 for w in g.weights)
+def _is_weighted(g: Graph, algo: str) -> bool:
+    """True iff g carries node weights, which only --algo oracle solves exactly."""
+    weighted = any(w != 1 for w in g.weights)
+    if weighted and algo != "oracle":
+        raise UnsupportedKind(
+            "weighted instances are only solved exactly by --algo oracle; "
+            "see the approx command for the polynomial route"
+        )
+    return weighted
 
 
 def _solve_star(g: Graph, algo: str):
-    if _is_weighted(g):
-        if algo != "oracle":
-            raise UnsupportedKind(
-                "weighted instances are only solved exactly by --algo oracle; "
-                "see the approx command for the polynomial route"
-            )
+    if _is_weighted(g, algo):
         value, orientation = brute_force_weighted(g, g.weights, "star")
         return SolveResult(value, orientation_to_owner(g, orientation))
     if algo == "oracle":
@@ -177,12 +179,7 @@ def _solve_star(g: Graph, algo: str):
 def _solve_ind(g: Graph, algo: str):
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind("the indegree objective needs a simple graph")
-    if _is_weighted(g):
-        if algo != "oracle":
-            raise UnsupportedKind(
-                "weighted instances are only solved exactly by --algo oracle; "
-                "see the approx command for the polynomial route"
-            )
+    if _is_weighted(g, algo):
         return brute_force_weighted(g, g.weights, "ind")
     if algo == "oracle":
         return brute_force_kstar(g)
@@ -194,7 +191,7 @@ def cmd_solve(args) -> int:
     g = inst.graph
     algo = args.algo
     if algo == "auto":
-        # the flow solver has no formulation for hypergraphs
+        # the flow solver's hypergraph form is not implemented here
         algo = "dfs" if g.kind is GraphKind.LINEAR_HYPER else "flow"
     if args.objective == "star":
         res = _solve_star(g, algo)
@@ -236,7 +233,7 @@ def cmd_verify(args) -> int:
         indeg = [0] * g.n
         load = [0] * g.n
         for e, nodes in enumerate(g.edges):
-            head = nodes[1] if owners[e] == nodes[0] else nodes[0]
+            head = other_end(nodes, owners[e])
             indeg[head] += 1
             load[head] += g.weights[owners[e]]
         for v in range(g.n):
@@ -354,45 +351,28 @@ def cmd_pullback(args) -> int:
         raise ValueError(f"reduced solution misses edge {missing[0]}")
 
     kind = sidecar.get("reduction")
-    if kind == "ind2star":
+    if kind in ("ind2star", "wind2wstar"):
         orig_names = sidecar["orig_nodes"]
         m = sidecar["orig_edges"]
         n = len(orig_names)
-        coloring = PartialColoring(tuple(owners[e] for e in range(reduced.graph.m)))
         red_graph = reduced.graph
+        coloring = PartialColoring(tuple(owners[e] for e in range(red_graph.m)))
+        # ind2star raised every original capacity by one; wind2wstar has none
+        caps = [red_graph.capacities[v] - 1 for v in range(n)] if kind == "ind2star" else None
         orig = build_graph(
-            n,
-            red_graph.edges[:m],
-            GraphKind.SIMPLE,
-            capacities=[red_graph.capacities[v] - 1 for v in range(n)],
-            weights=sidecar.get("weights"),
+            n, red_graph.edges[:m], GraphKind.SIMPLE, capacities=caps, weights=sidecar.get("weights")
         )
-        orientation = recover_ind_solution(
-            PendantReduction(original=orig, reduced=red_graph), coloring
-        )
+        if kind == "ind2star":
+            red = PendantReduction(original=orig, reduced=red_graph)
+            orientation = recover_ind_solution(red, coloring)
+        else:
+            # raises ValueError, before anything is written, on a non-endpoint owner
+            orientation = owner_to_orientation(orig, PartialColoring(coloring.owner[:m]))
         value = max(weighted_indeg_value(orig, orig.weights, orientation, v) for v in range(n))
         solution = orientation_to_owner(orig, orientation)  # owners are the tails
         _write(args.out, format_solution(Instance(orig, tuple(orig_names)), solution, value))
         print(f"value {value}")
-        return EXIT_OK
-
-    if kind == "wind2wstar":
-        orig_names = sidecar["orig_nodes"]
-        m = sidecar["orig_edges"]
-        weights = sidecar["weights"]
-        load = [0] * len(orig_names)
-        lines = []
-        for e in range(m):
-            nodes = reduced.graph.edges[e]
-            o = owners[e]
-            head = nodes[1] if o == nodes[0] else nodes[0]
-            load[head] += weights[o]
-            lines.append(f"owner {e} {orig_names[o]}")
-        value = max(load) if load else 0
-        lines.append(f"value {value}")
-        _write(args.out, "\n".join(lines) + "\n")
-        print(f"value {value}")
-        if value > sidecar["k"]:
+        if kind == "wind2wstar" and value > sidecar["k"]:
             print(f"warning: pulled-back value {value} exceeds the bound {sidecar['k']}")
             return EXIT_VERIFY_FAILED
         return EXIT_OK

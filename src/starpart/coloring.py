@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import IncompleteColoring, UnsupportedKind
-from .graph import Graph
+from .graph import Graph, other_end
 
 #: Objective value used when no valid coloring or orientation exists.
 INFEASIBLE: float = math.inf
@@ -63,31 +63,28 @@ def _require_complete(g: Graph, coloring: PartialColoring) -> None:
             raise IncompleteColoring(f"edge {e} is uncolored")
 
 
-def owner_to_orientation(g: Graph, coloring: PartialColoring) -> Orientation:
-    """Direct every edge away from its owner (the head is the non-owner)."""
-    _require_complete(g, coloring)
-    heads = []
+def _flip_ends(g: Graph, ends, role: str) -> tuple[int, ...]:
+    # The one loop behind both converters: each edge's other endpoint.
+    flipped = []
     for e, nodes in enumerate(g.edges):
         if len(nodes) != 2:
             raise UnsupportedKind("orientations are defined only for two-endpoint edges")
-        o = coloring.owner[e]
-        if o not in nodes:
-            raise ValueError(f"owner {o} of edge {e} is not an endpoint")
-        heads.append(nodes[1] if o == nodes[0] else nodes[0])
-    return Orientation(tuple(heads))
+        u = ends[e]
+        if u not in nodes:
+            raise ValueError(f"{role} {u} of edge {e} is not an endpoint")
+        flipped.append(other_end(nodes, u))
+    return tuple(flipped)
+
+
+def owner_to_orientation(g: Graph, coloring: PartialColoring) -> Orientation:
+    """Direct every edge away from its owner (the head is the non-owner)."""
+    _require_complete(g, coloring)
+    return Orientation(_flip_ends(g, coloring.owner, "owner"))
 
 
 def orientation_to_owner(g: Graph, orientation: Orientation) -> PartialColoring:
     """Inverse of :func:`owner_to_orientation`: the tail owns each edge."""
-    owners = []
-    for e, nodes in enumerate(g.edges):
-        if len(nodes) != 2:
-            raise UnsupportedKind("orientations are defined only for two-endpoint edges")
-        h = orientation.head[e]
-        if h not in nodes:
-            raise ValueError(f"head {h} of edge {e} is not an endpoint")
-        owners.append(nodes[1] if h == nodes[0] else nodes[0])
-    return PartialColoring(tuple(owners))
+    return PartialColoring(_flip_ends(g, orientation.head, "head"))
 
 
 def color_count(g: Graph, coloring: PartialColoring, v: int) -> int:
@@ -111,13 +108,26 @@ def is_valid(g: Graph, coloring: PartialColoring) -> bool:
     )
 
 
+def _demand(deg: int, cap: int, x: int, objective: str) -> int:
+    """Edges a node must own at target x (self-loop seeds count in deg).
+
+    ind: indegree deg - out <= min(cap, x).  star: the node also sees its
+    own star, like one more incident edge, so it owns the ind demand at
+    deg + 1 edges or, if that is 1, none.
+    """
+    if objective == "ind":
+        return max(0, deg - min(cap, x))
+    need = _demand(deg + 1, cap, x, "ind")
+    return need if need >= 2 else 0
+
+
 def lower_demand(g: Graph, v: int, x: int) -> int:
     """Minimum number of incident edges v must own for the target x.
 
     With degree d and capacity k this is max(0, d - min(k, x) + 1); a node
     whose degree already fits under min(k, x) demands nothing.
     """
-    return max(0, len(g.incidence[v]) - min(g.capacities[v], x) + 1)
+    return _demand(len(g.incidence[v]) + 1, g.capacities[v], x, "ind")
 
 
 def extract_stars(g: Graph, coloring: PartialColoring) -> StarDecomposition:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .coloring import INFEASIBLE, PartialColoring, SolveResult
+from .coloring import INFEASIBLE, PartialColoring, SolveResult, _demand
 from .errors import UnsupportedKind
 from .graph import Graph, GraphKind, extract_self_loops, merge_parallel_edges
 
@@ -61,7 +61,8 @@ class SearchState:
         self.dfs_edge_visits: dict[int, int] | None = None
 
     def demand(self, v: int, x: int) -> int:
-        return max(0, self.deg[v] - min(self.graph.capacities[v], x) + 1)
+        """Edges v must own at target x; 0 where owning none also fits."""
+        return _demand(self.deg[v], self.graph.capacities[v], x, "star")
 
     def coloring(self) -> PartialColoring:
         return PartialColoring(tuple(self.owner))
@@ -164,8 +165,6 @@ def ensure_feasibility(state: SearchState, instrument: bool = False) -> bool:
     g = state.graph
     top = state.target_x
     for v in range(g.n):
-        if g.capacities[v] >= state.deg[v]:
-            continue
         need = state.demand(v, top)
         while state.n_eq[v] < need:
             if not _run_search(state, v, instrument):
@@ -208,8 +207,6 @@ def solve_with_state(
         state.target_x = x
         for v in range(g.n):
             need = state.demand(v, x)
-            if need <= 1 or state.n_eq[v] >= need:
-                continue
             while state.n_eq[v] < need:
                 if not _run_search(state, v, instrument):
                     return _finish(state, x + 1), state

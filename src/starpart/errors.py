@@ -10,7 +10,13 @@ class EmptyGraph(StarPartError):
 
 
 class Disconnected(StarPartError):
-    """Disconnected inputs are rejected rather than solved per component."""
+    """Disconnected inputs are rejected rather than solved per component.
+
+    The paper defines the problem on connected graphs, and ``closed_form``
+    assumes connectivity: on a triangle plus an isolated node it would
+    report 1 and hand edge (1, 2) to node 0, which is not an endpoint,
+    while the optimum is 2.  The check guards outside input, so it stays.
+    """
 
 
 class DuplicateEdgeInSimple(StarPartError):

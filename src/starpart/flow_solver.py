@@ -27,10 +27,11 @@ from .coloring import (
     Orientation,
     PartialColoring,
     SolveResult,
+    _demand,
     orientation_to_owner,
 )
 from .errors import UnsupportedKind
-from .graph import Graph, GraphKind
+from .graph import Graph, GraphKind, other_end
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,6 @@ class IntegralFlow:
     value: int
 
 
-def _demand(deg: int, cap: int, x: int, objective: str) -> int:
-    """Edges a node must own at target x (self-loop seeds count in deg).
-
-    ind: indegree deg - out <= min(cap, x).  star: the node also sees its
-    own star, so it owns deg - min(cap, x) + 1 edges or, if that is 1, none.
-    """
-    if objective == "ind":
-        return max(0, deg - min(cap, x))
-    need = deg - min(cap, x) + 1
-    return need if need >= 2 else 0
-
-
 def _degrees(g: Graph, loop_counts: dict[int, int] | None) -> list[int]:
     deg = [len(inc) for inc in g.incidence]
     for v, count in (loop_counts or {}).items():
@@ -94,11 +83,8 @@ def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
     return out - _demand(len(g.incidence[v]), g.capacities[v], x, "star")
 
 
-def _slacks(
-    g: Graph, head: tuple[int, ...], x: int, loop_counts, objective: str
-) -> list[int]:
+def _slacks(g: Graph, head: tuple[int, ...], x: int, deg: list[int], objective: str) -> list[int]:
     # A node owns every edge at it, loop seeds included, that does not enter it.
-    deg = _degrees(g, loop_counts)
     indeg = [0] * g.n
     for h in head:
         indeg[h] += 1
@@ -108,15 +94,12 @@ def _slacks(
 
 def build_flow_network(g: Graph, orientation: Orientation, x: int) -> FlowNetwork:
     """Network whose max flow decides whether target x is achievable."""
-    slacks = _slacks(g, orientation.head, x, None, "star")
+    slacks = _slacks(g, orientation.head, x, _degrees(g, None), "star")
     return _network_from_slacks(g, orientation.head, slacks)
 
 
 def _network_from_slacks(g: Graph, head: tuple[int, ...], slacks: list[int]) -> FlowNetwork:
-    arcs = []
-    for e, nodes in enumerate(g.edges):
-        tail = nodes[1] if head[e] == nodes[0] else nodes[0]
-        arcs.append((tail, head[e]))
+    arcs = [(other_end(nodes, h), h) for nodes, h in zip(g.edges, head)]
     source = tuple(max(0, s) for s in slacks)
     sink = tuple(max(0, -s) for s in slacks)
     return FlowNetwork(g.n, tuple(arcs), source, sink)
@@ -176,7 +159,7 @@ def _test_x(
             # v cannot own enough edges even if it owns all of them.
             hall[:] = [v]
             return None
-    slacks = _slacks(g, start.head, x, loop_counts, objective)
+    slacks = _slacks(g, start.head, x, deg, objective)
     required = sum(-s for s in slacks if s < 0)
     if required == 0:
         return start
@@ -188,8 +171,7 @@ def _test_x(
     heads = list(start.head)
     for e, f in enumerate(flow.edge_flow):
         if f:
-            nodes = g.edges[e]
-            heads[e] = nodes[1] if heads[e] == nodes[0] else nodes[0]
+            heads[e] = other_end(g.edges[e], heads[e])
     return Orientation(tuple(heads))
 
 
@@ -219,7 +201,7 @@ def _hall_set(net: FlowNetwork, flow: IntegralFlow) -> list[int]:
 
 
 def _next_target(
-    g: Graph, hall: list[int], x: int, delta: int, loop_counts, objective: str
+    g: Graph, hall: list[int], x: int, delta: int, deg: list[int], objective: str
 ) -> int | None:
     """Least target in (x, delta] at which the Hall set is satisfiable.
 
@@ -227,14 +209,11 @@ def _next_target(
     their demand only falls as the target grows.  None means the set is
     violated at delta, where every demand has settled: INFEASIBLE.
     """
-    loops = loop_counts or {}
-    degs = [len(g.incidence[v]) + loops.get(v, 0) for v in hall]
     supply = len({e for v in hall for e in g.incidence[v]})
-    supply += sum(loops.get(v, 0) for v in hall)
+    supply += sum(deg[v] - len(g.incidence[v]) for v in hall)  # loop seeds
 
     def satisfiable(t: int) -> bool:
-        demand = sum(_demand(d, g.capacities[v], t, objective) for v, d in zip(hall, degs))
-        return demand <= supply
+        return sum(_demand(deg[v], g.capacities[v], t, objective) for v in hall) <= supply
 
     targets = range(x + 1, delta + 1)
     i = bisect_left(targets, True, key=satisfiable)
@@ -269,11 +248,12 @@ def solve_flow_seeded(
     """
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind(
-            "the flow solver handles simple graphs only; linear hypergraphs "
-            "have no flow formulation and multigraphs/self-loops go through "
+            "the flow solver handles simple graphs only; its hypergraph form is "
+            "not implemented here, and multigraphs/self-loops go through "
             "preprocess_and_solve"
         )
-    delta = max(_degrees(g, loop_counts))
+    deg = _degrees(g, loop_counts)
+    delta = max(deg)
     if delta == 0:
         return SolveResult(0, PartialColoring(()))
     # Counting bounds: the indegrees sum to m; node v sees indeg(v) + [v owns
@@ -285,7 +265,7 @@ def solve_flow_seeded(
         best = _test_x(g, lo, start, loop_counts, objective, hall)
         if best is not None:
             return SolveResult(lo, orientation_to_owner(g, best))
-        lo = _next_target(g, hall, lo, delta, loop_counts, objective)
+        lo = _next_target(g, hall, lo, delta, deg, objective)
         if lo is None:
             return SolveResult(INFEASIBLE, None)
     # The cuts raised the bound slowly: bisect over [lo, delta] instead,
@@ -299,7 +279,7 @@ def solve_flow_seeded(
         # Warm start from the last successful witness; purely an optimization.
         cand = _test_x(g, mid, best, loop_counts, objective, hall)
         if cand is None:
-            lo = _next_target(g, hall, mid, delta, loop_counts, objective)
+            lo = _next_target(g, hall, mid, delta, deg, objective)
         else:
             hi, best = mid, cand
     return SolveResult(hi, orientation_to_owner(g, best))

@@ -56,6 +56,11 @@ def max_degree(g: Graph) -> int:
     return max(len(inc) for inc in g.incidence)
 
 
+def other_end(edge: tuple[int, ...], v: int) -> int:
+    """The endpoint of a two-endpoint edge that is not v: owner <-> head."""
+    return edge[1] if v == edge[0] else edge[0]
+
+
 def max_edge_size(g: Graph) -> int:
     """Largest edge cardinality (2 for simple graphs, 0 if edgeless)."""
     return max((len(e) for e in g.edges), default=0)

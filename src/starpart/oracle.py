@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph
+from .graph import Graph, GraphKind, build_graph, other_end
 
 _EDGE_GUARD = 22
 _ASSIGNMENT_GUARD = 1 << 24
@@ -278,7 +278,7 @@ def _pseudoforest_witness(g: Graph) -> PartialColoring:
         for e in g.incidence[v]:
             if alive[e]:
                 alive[e] = False
-                w = g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]
+                w = other_end(g.edges[e], v)
                 deg[w] -= 1
                 deg[v] -= 1
                 if deg[w] == 1:
@@ -286,8 +286,8 @@ def _pseudoforest_witness(g: Graph) -> PartialColoring:
     cycle_nodes = [v for v in range(g.n) if deg[v] >= 2]
     root = min(cycle_nodes)
     candidates = [e for e in g.incidence[root] if alive[e]]
-    skip = min(candidates, key=lambda e: g.edges[e][0] if g.edges[e][1] == root else g.edges[e][1])
-    far = g.edges[skip][0] if g.edges[skip][1] == root else g.edges[skip][1]
+    skip = min(candidates, key=lambda e: other_end(g.edges[e], root))
+    far = other_end(g.edges[skip], root)
     _tree_coloring(g, root, skip, owner)
     owner[skip] = far
     return PartialColoring(tuple(owner))

@@ -43,9 +43,6 @@ class PendantReduction:
     def pendant_of(self, v: int) -> int:
         return self.original.n + v
 
-    def pendant_edge(self, v: int) -> int:
-        return self.original.m + v
-
 
 def ind_to_star(inst: IndInstance) -> PendantReduction:
     """Linear-time reduction; the star optimum is the indegree optimum plus one."""
@@ -74,14 +71,8 @@ def recover_ind_solution(red: PendantReduction, coloring: PartialColoring) -> Or
     if not is_valid(g2, coloring):
         raise InvalidColoring("coloring violates a capacity in the reduced graph")
 
-    owner = list(coloring.owner)
-    for v in range(red.original.n):
-        owner[red.pendant_edge(v)] = v
-    heads = []
-    for e, nodes in enumerate(red.original.edges):
-        o = owner[e]
-        heads.append(nodes[1] if o == nodes[0] else nodes[0])
-    return Orientation(tuple(heads))
+    # The re-owning touches pendant edges only: each original edge's owner is its tail.
+    return owner_to_orientation(red.original, PartialColoring(coloring.owner[: red.original.m]))
 
 
 def max_indegree(g: Graph, orientation: Orientation) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coloring import Orientation, PartialColoring, orientation_to_owner
 from .errors import NoOutgoingEdge, NotPseudoforest, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph
+from .graph import Graph, GraphKind, build_graph, other_end
 from .lp import find_basic_feasible
 from .oracle import _bit_chunks, _two_endpoint_tables
 
@@ -34,9 +34,7 @@ def weighted_indeg_value(g: Graph, weights, orientation: Orientation, v: int) ->
     total = 0
     for e in g.incidence[v]:
         if orientation.head[e] == v:
-            nodes = g.edges[e]
-            tail = nodes[0] if nodes[1] == v else nodes[1]
-            total += weights[tail]
+            total += weights[other_end(g.edges[e], v)]
     return total
 
 

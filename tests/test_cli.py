@@ -447,3 +447,27 @@ def test_approx_out_verifies(tmp_path, capsys, approx_objective, verify_objectiv
         ["verify", str(inst), str(sol), "--objective", verify_objective, "--bound", value]
     ) == 0
     assert capsys.readouterr().out.strip() == f"ok value {value}"
+
+
+@pytest.mark.parametrize("bad_owner", ["gadget", "third"])
+def test_pullback_wind2wstar_rejects_non_endpoint_owner(tmp_path, capsys, bad_owner):
+    inst = tmp_path / "tri.graph"
+    inst.write_text(
+        "kind simple\nnode a w=2\nnode b w=3\nnode c w=1\nedge a b\nedge b c\nedge a c\n"
+    )
+    red = tmp_path / "tri_red.graph"
+    assert main(["reduce", "wind2wstar", str(inst), "--k", "3", "--out", str(red)]) == 0
+    reduced = parse_instance(red.read_text())
+    names = reduced.node_names
+    owners = [names[nodes[0]] for nodes in reduced.graph.edges]
+    # edge 0 is a-b: hand it to a gadget node, or to the original node c
+    owners[0] = names[3] if bad_owner == "gadget" else "c"
+    sol = tmp_path / "tri_red.sol"
+    sol.write_text("".join(f"owner {e} {o}\n" for e, o in enumerate(owners)))
+    back = tmp_path / "tri_back.sol"
+    capsys.readouterr()
+    assert main([
+        "pullback", str(red), str(sol), "--map", str(red) + ".map.json", "--out", str(back),
+    ]) == 2
+    assert "not an endpoint" in capsys.readouterr().err
+    assert not back.exists()

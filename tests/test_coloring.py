@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starpart import (
+    GraphKind,
+    Orientation,
     PartialColoring,
     build_graph,
     color_count,
@@ -15,7 +17,7 @@ from starpart import (
     owner_to_orientation,
     star_partition_value,
 )
-from starpart.errors import IncompleteColoring
+from starpart.errors import IncompleteColoring, UnsupportedKind
 from conftest import connected_edge_sets
 
 # the optimal triangle coloring: v1 colors v1v2, v3 colors the other two
@@ -189,3 +191,23 @@ def test_incomplete_coloring_raises(triangle):
         owner_to_orientation(triangle, partial)
     with pytest.raises(IncompleteColoring):
         extract_stars(triangle, partial)
+
+
+def test_converters_reject_non_endpoints(triangle):
+    with pytest.raises(ValueError, match="owner 2 of edge 0 is not an endpoint"):
+        owner_to_orientation(triangle, PartialColoring((2, 2, 2)))
+    with pytest.raises(ValueError, match="head 2 of edge 0 is not an endpoint"):
+        orientation_to_owner(triangle, Orientation((2, 2, 2)))
+
+
+@pytest.mark.parametrize("kind, edges", [
+    (GraphKind.WITH_SELF_LOOPS, [(0, 1), (1, 1)]),
+    (GraphKind.LINEAR_HYPER, [(0, 1, 2)]),
+])
+def test_converters_reject_non_pair_edges(kind, edges):
+    g = build_graph(3 if kind is GraphKind.LINEAR_HYPER else 2, edges, kind)
+    owners = tuple(e[0] for e in edges)
+    with pytest.raises(UnsupportedKind):
+        owner_to_orientation(g, PartialColoring(owners))
+    with pytest.raises(UnsupportedKind):
+        orientation_to_owner(g, Orientation(owners))
