@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IncompleteColoring, UnsupportedKind
+from .errors import IncompleteColoring, NotPseudoforest, UnsupportedKind
 from .graph import Graph, other_end
 
 #: Objective value used when no valid coloring or orientation exists.
@@ -74,6 +74,58 @@ def _flip_ends(g: Graph, ends, role: str) -> tuple[int, ...]:
             raise ValueError(f"{role} {u} of edge {e} is not an endpoint")
         flipped.append(other_end(nodes, u))
     return tuple(flipped)
+
+
+def pseudoforest_heads(edges: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """A head for every given edge such that each node receives at most one.
+
+    Such heads exist iff no component has more edges than nodes.  Each
+    cycle is walked from its least node toward its smaller neighbor; every
+    other edge points away from the cycle, or in a tree component away
+    from the least node.  Raises ``NotPseudoforest`` on denser input.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e, (a, b) in edges.items():
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    # Peel leaves off; the nodes left, those of degree >= 2, lie on cycles
+    # and must have degree exactly 2.
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    leaves = [v for v, d in deg.items() if d == 1]
+    for v in leaves:
+        for w, _ in adj[v]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+    core = sorted(v for v, d in deg.items() if d >= 2)
+    for v in core:
+        if deg[v] > 2:
+            raise NotPseudoforest(f"the component of node {v} has more edges than nodes")
+    heads: dict[int, int] = {}
+    for start in core:
+        if any(e in heads for _, e in adj[start]):
+            continue  # its cycle was walked from a smaller node
+        w, e = min((w, e) for w, e in adj[start] if deg[w] == 2)
+        heads[e] = w
+        while w != start:
+            w, e = next((x, f) for x, f in adj[w] if deg[x] == 2 and f not in heads)
+            heads[e] = w
+    seen = set(core)
+
+    def grow(queue: list[int]) -> None:
+        for v in queue:
+            for w, e in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    heads[e] = w
+                    queue.append(w)
+
+    grow(core)
+    for root in sorted(adj):  # a tree component is first met at its least node
+        if root not in seen:
+            seen.add(root)
+            grow([root])
+    return heads
 
 
 def owner_to_orientation(g: Graph, coloring: PartialColoring) -> Orientation:

@@ -64,9 +64,6 @@ class SearchState:
         """Edges v must own at target x; 0 where owning none also fits."""
         return _demand(self.deg[v], self.graph.capacities[v], x, "star")
 
-    def coloring(self) -> PartialColoring:
-        return PartialColoring(tuple(self.owner))
-
 
 def _touch(state: SearchState, e: int) -> None:
     state.edge_visits += 1

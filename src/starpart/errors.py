@@ -13,9 +13,9 @@ class Disconnected(StarPartError):
     """Disconnected inputs are rejected rather than solved per component.
 
     The paper defines the problem on connected graphs, and ``closed_form``
-    assumes connectivity: on a triangle plus an isolated node it would
-    report 1 and hand edge (1, 2) to node 0, which is not an endpoint,
-    while the optimum is 2.  The check guards outside input, so it stays.
+    assumes connectivity: on the path 1-0-2 plus an isolated node 3 it
+    reports 2, while the optimum is 1.  The check guards outside input,
+    so it stays.
     """
 
 
@@ -64,7 +64,7 @@ class TooLarge(StarPartError):
 
 
 class NotPseudoforest(StarPartError):
-    """The fractional support of an LP solution was not basic."""
+    """A component has more edges than nodes where a pseudoforest is needed."""
 
 
 class NoOutgoingEdge(StarPartError):

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult
+from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult, pseudoforest_heads
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph, other_end
+from .graph import Graph, GraphKind, build_graph, max_degree, other_end
 
 _EDGE_GUARD = 22
 _ASSIGNMENT_GUARD = 1 << 24
@@ -214,22 +214,6 @@ def brute_force_kstar(g: Graph) -> tuple[int | float, Orientation | None]:
     return int(best[0]), Orientation(tuple(heads))
 
 
-def _diameter(g: Graph) -> int:
-    worst = 0
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = [src]
-        for v in queue:
-            for e in g.incidence[v]:
-                for w in g.edges[e]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-        worst = max(worst, max(dist))
-    return worst
-
-
 def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
     side = [-1] * g.n
     side[0] = 0
@@ -245,52 +229,6 @@ def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
                 elif side[w] == side[v]:
                     return None
     return [v for v in range(g.n) if side[v] == 0], [v for v in range(g.n) if side[v] == 1]
-
-
-def _tree_coloring(g: Graph, root: int, skip: int | None, owner: list[int | None]) -> None:
-    # Root-to-leaves pass: every tree edge is owned by its parent side.
-    seen = [False] * g.n
-    seen[root] = True
-    queue = [root]
-    for v in queue:
-        for e in g.incidence[v]:
-            if e == skip:
-                continue
-            for w in g.edges[e]:
-                if not seen[w]:
-                    seen[w] = True
-                    owner[e] = v
-                    queue.append(w)
-
-
-def _pseudoforest_witness(g: Graph) -> PartialColoring:
-    owner: list[int | None] = [None] * g.m
-    if g.m == g.n - 1:
-        _tree_coloring(g, 0, None, owner)
-        return PartialColoring(tuple(owner))
-    # Exactly one cycle: strip leaves to find it, detach one cycle edge at
-    # the smallest cycle node, color the remaining tree from there, then
-    # hand the detached edge to its far endpoint.
-    deg = [len(inc) for inc in g.incidence]
-    alive = [True] * g.m
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    for v in queue:
-        for e in g.incidence[v]:
-            if alive[e]:
-                alive[e] = False
-                w = other_end(g.edges[e], v)
-                deg[w] -= 1
-                deg[v] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    cycle_nodes = [v for v in range(g.n) if deg[v] >= 2]
-    root = min(cycle_nodes)
-    candidates = [e for e in g.incidence[root] if alive[e]]
-    skip = min(candidates, key=lambda e: other_end(g.edges[e], root))
-    far = other_end(g.edges[skip], root)
-    _tree_coloring(g, root, skip, owner)
-    owner[skip] = far
-    return PartialColoring(tuple(owner))
 
 
 def _knn_witness(g: Graph, left: list[int], right: list[int]) -> PartialColoring:
@@ -328,12 +266,14 @@ def closed_form(g: Graph) -> tuple[int, PartialColoring] | None:
         return None
     if g.m == 0:
         return 0, PartialColoring(())
-    if g.m == g.n - 1 and _diameter(g) <= 2:
+    if g.m == g.n - 1 and max_degree(g) == g.n - 1:  # a tree of diameter at most 2
         centers = [v for v in range(g.n) if len(g.incidence[v]) >= 2]
         c = centers[0] if centers else g.edges[0][0]
         return 1, PartialColoring(tuple(c for _ in range(g.m)))
     if g.m <= g.n:
-        return 2, _pseudoforest_witness(g)
+        heads = pseudoforest_heads(dict(enumerate(g.edges)))
+        owner = tuple(other_end(edge, heads[e]) for e, edge in enumerate(g.edges))
+        return 2, PartialColoring(owner)
     parts = _bipartition(g)
     if parts is not None:
         left, right = parts

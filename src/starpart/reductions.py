@@ -58,9 +58,10 @@ def ind_to_star(inst: IndInstance) -> PendantReduction:
 def recover_ind_solution(red: PendantReduction, coloring: PartialColoring) -> Orientation:
     """Read an orientation of the original graph off a reduced coloring.
 
-    Pendant edges are first re-owned by their original node (which never
-    raises any star count), so every node owns its own star and the
-    remaining stars at it are exactly its incoming edges.
+    The coloring must be complete, give every edge to one of its endpoints
+    and meet every capacity of the reduced graph.  Each original edge's
+    owner is then its tail: a node's pendant edge brings one color that no
+    incoming edge carries, so its incoming edges fit its original capacity.
     """
     g2 = red.reduced
     if len(coloring.owner) != g2.m or not coloring.is_complete():
@@ -71,7 +72,6 @@ def recover_ind_solution(red: PendantReduction, coloring: PartialColoring) -> Or
     if not is_valid(g2, coloring):
         raise InvalidColoring("coloring violates a capacity in the reduced graph")
 
-    # The re-owning touches pendant edges only: each original edge's owner is its tail.
     return owner_to_orientation(red.original, PartialColoring(coloring.owner[: red.original.m]))
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import Orientation, PartialColoring, orientation_to_owner
-from .errors import NoOutgoingEdge, NotPseudoforest, TooLarge, UnsupportedKind
+from .coloring import Orientation, PartialColoring, orientation_to_owner, pseudoforest_heads
+from .errors import NoOutgoingEdge, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, other_end
 from .lp import find_basic_feasible
 from .oracle import _bit_chunks, _two_endpoint_tables
@@ -320,103 +320,19 @@ def _assemble_fractional(g, weights, limit, free_edges, solution) -> FractionalO
 def round_fractional(frac: FractionalOrientation) -> Orientation:
     """Integral orientation from a basic fractional one.
 
-    Strictly fractional edges form a pseudoforest; each tree component is
-    rooted and its edges handed to the child side, each unicyclic
-    component orients its cycle consistently, so every node picks up at
-    most one rounded edge.
+    Integral edges keep their endpoint.  The strictly fractional edges form
+    a pseudoforest, and ``pseudoforest_heads`` orients them so that every
+    node picks up at most one rounded edge.
     """
-    g = frac.graph
-    heads: list[int | None] = [None] * g.m
-    frac_adj: dict[int, list[tuple[int, int]]] = {}
-    frac_edges = []
-    for e, (lo, hi) in enumerate(g.edges):
+    heads, loose = [], {}
+    for e, (lo, hi) in enumerate(frac.graph.edges):
         f_lo, f_hi = frac.fractions[e]
-        if f_lo == 1:
-            heads[e] = lo
-        elif f_hi == 1:
-            heads[e] = hi
-        else:
-            frac_edges.append(e)
-            frac_adj.setdefault(lo, []).append((hi, e))
-            frac_adj.setdefault(hi, []).append((lo, e))
-
-    seen_nodes: set[int] = set()
-    for start in sorted(frac_adj):
-        if start in seen_nodes:
-            continue
-        comp_nodes, comp_edges = _component(frac_adj, start)
-        seen_nodes |= comp_nodes
-        if len(comp_edges) > len(comp_nodes):
-            raise NotPseudoforest(
-                f"fractional component at node {start} has {len(comp_edges)} edges "
-                f"on {len(comp_nodes)} nodes"
-            )
-        if len(comp_edges) == len(comp_nodes):
-            _orient_unicyclic(g, frac_adj, comp_nodes, heads)
-        else:
-            _orient_tree(g, frac_adj, [min(comp_nodes)], heads)
+        heads.append(lo if f_lo == 1 else hi)
+        if f_lo != 1 and f_hi != 1:
+            loose[e] = (lo, hi)
+    for e, head in pseudoforest_heads(loose).items():
+        heads[e] = head
     return Orientation(tuple(heads))
-
-
-def _component(adj, start):
-    nodes = {start}
-    edges = set()
-    queue = [start]
-    for v in queue:
-        for w, e in adj[v]:
-            edges.add(e)
-            if w not in nodes:
-                nodes.add(w)
-                queue.append(w)
-    return nodes, edges
-
-
-def _orient_tree(g, adj, roots, heads):
-    queue = list(roots)
-    seen = set(roots)
-    for v in queue:
-        for w, e in adj[v]:
-            if w not in seen and heads[e] is None:
-                heads[e] = w  # away from the root: the child receives it
-                seen.add(w)
-                queue.append(w)
-
-
-def _orient_unicyclic(g, adj, comp_nodes, heads):
-    deg = {v: len([1 for _, e in adj[v] if heads[e] is None]) for v in comp_nodes}
-    removed: set[int] = set()
-    queue = [v for v in comp_nodes if deg[v] == 1]
-    for v in queue:
-        for w, e in adj[v]:
-            if e not in removed and heads[e] is None:
-                removed.add(e)
-                deg[v] -= 1
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    cycle_nodes = sorted(v for v in comp_nodes if deg[v] >= 2)
-    # Walk the cycle from its smallest node toward its smaller neighbor.
-    start = cycle_nodes[0]
-    prev, cur = None, start
-    while True:
-        step = sorted(
-            (w, e)
-            for w, e in adj[cur]
-            if e not in removed and heads[e] is None and w != prev
-        )
-        if not step:
-            break
-        w, e = step[0]
-        heads[e] = w
-        prev, cur = cur, w
-        if cur == start:
-            break
-    # Close the loop on the final edge back to the start if still open.
-    for w, e in adj[cur]:
-        if e not in removed and heads[e] is None and w == start:
-            heads[e] = w
-    # Hang the stripped trees off the cycle, pointing away from it.
-    _orient_tree(g, adj, cycle_nodes, heads)
 
 
 # --- approximation algorithms ------------------------------------------------

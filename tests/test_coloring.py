@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,8 @@ from starpart import (
     owner_to_orientation,
     star_partition_value,
 )
-from starpart.errors import IncompleteColoring, UnsupportedKind
+from starpart.coloring import pseudoforest_heads
+from starpart.errors import IncompleteColoring, NotPseudoforest, UnsupportedKind
 from conftest import connected_edge_sets
 
 # the optimal triangle coloring: v1 colors v1v2, v3 colors the other two
@@ -211,3 +213,68 @@ def test_converters_reject_non_pair_edges(kind, edges):
         owner_to_orientation(g, PartialColoring(owners))
     with pytest.raises(UnsupportedKind):
         orientation_to_owner(g, Orientation(owners))
+
+
+def _component_sizes(edges: dict) -> list[tuple[int, int]]:
+    """(nodes, edges) of every component, counted with a union-find."""
+    parent: dict[int, int] = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges.values():
+        parent[find(a)] = find(b)
+    nodes = Counter(find(v) for v in parent)
+    arcs = Counter(find(a) for a, _ in edges.values())
+    return [(nodes[r], arcs[r]) for r in nodes]
+
+
+def test_pseudoforest_heads_random_graphs():
+    rng = random.Random(1311)
+    seen = Counter()
+    for _ in range(2500):
+        n = rng.randint(2, 12)
+        ids = rng.sample(range(5 * n), rng.randint(1, n + 2))  # sparse, unordered ids
+        # edges stay inside blocks of consecutive nodes, so components abound
+        cuts = [0, *sorted(rng.sample(range(1, n), min(2, n - 1))), n]
+        blocks = [range(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= 2] or [range(n)]
+        edges = {e: tuple(rng.sample(rng.choice(blocks), 2)) for e in ids}
+        sizes = _component_sizes(edges)
+        if any(m > k for k, m in sizes):
+            seen["dense"] += 1
+            with pytest.raises(NotPseudoforest):
+                pseudoforest_heads(edges)
+            continue
+        heads = pseudoforest_heads(edges)
+        assert heads.keys() == edges.keys()
+        assert all(heads[e] in edges[e] for e in edges)
+        assert len(set(heads.values())) == len(heads)  # no node receives two edges
+        cycles = sum(m == k for k, m in sizes)
+        seen["forest" if cycles == 0 else "one cycle" if cycles == 1 else "cycles"] += 1
+        seen["isolated edge"] += (2, 1) in sizes
+    assert min(seen[k] for k in ("dense", "forest", "one cycle", "cycles", "isolated edge")) >= 50
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)],  # theta graph
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],  # two triangles and a path
+        list(itertools.combinations(range(4), 2)),  # K4
+        [(5, 6), (6, 7), (7, 5), (0, 1), (1, 2), (0, 2), (0, 1)],  # a triangle, and one with a doubled edge
+    ],
+)
+def test_pseudoforest_heads_rejects_dense_components(pairs):
+    edges = {7 * i + 3: pair for i, pair in enumerate(pairs)}
+    edges[999] = (20, 21)  # an isolated edge elsewhere changes nothing
+    with pytest.raises(NotPseudoforest):
+        pseudoforest_heads(edges)
+
+
+def test_pseudoforest_heads_tie_break():
+    # the cycle on 2, 3, 4 runs from node 2 toward 3; the pendant edge to 5
+    # points away from the cycle, the tree edge 0-1 away from node 0
+    edges = {10: (2, 4), 11: (3, 4), 12: (2, 3), 13: (3, 5), 14: (0, 1)}
+    assert pseudoforest_heads(edges) == {12: 3, 11: 4, 10: 2, 13: 5, 14: 1}

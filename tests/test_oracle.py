@@ -17,7 +17,8 @@ from starpart import (
     max_edge_size,
     star_partition_value,
 )
-from starpart.errors import InvalidSpec, TooLarge, UnsupportedKind
+from starpart.errors import Disconnected, InvalidSpec, TooLarge, UnsupportedKind
+from starpart.graph import Graph
 from conftest import connected_edge_sets
 
 
@@ -136,6 +137,29 @@ def test_closed_form_unicyclic():
             seen_cycle += 1
             assert value == 2
     assert seen_cycle > 3
+
+
+def test_closed_form_linear_on_large_trees():
+    rng = random.Random(8000)
+    tree = build_graph(8000, [(rng.randrange(i), i) for i in range(1, 8000)])
+    star = generate(GeneratorSpec("star", n=7999))
+    for g, expected in ((tree, 2), (star, 1)):
+        t0 = time.perf_counter()
+        value, witness = closed_form(g)
+        assert time.perf_counter() - t0 < 2.0
+        assert value == expected
+        assert is_valid(g, witness)
+
+
+def test_closed_form_assumes_connectivity():
+    # the path 1-0-2 plus an isolated node 3, built past build_graph's check
+    edges = ((0, 1), (0, 2))
+    with pytest.raises(Disconnected):
+        build_graph(4, edges)
+    g = Graph(GraphKind.SIMPLE, 4, edges, (4,) * 4, (1,) * 4, ((0, 1), (0,), (1,), ()))
+    value, witness = closed_form(g)
+    assert value == 2 and is_valid(g, witness)
+    assert brute_force_xstar(g).value == 1
 
 
 def test_closed_form_declines_hard_cases(triangle, fig2):

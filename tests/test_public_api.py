@@ -1,6 +1,7 @@
 """The package's exported surface and the names its users import."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -39,3 +40,14 @@ def test_every_used_name_still_imports():
     assert pinned <= used and "solve_min_max_ind" in used
     missing = sorted(name for name in used if not hasattr(starpart, name))
     assert missing == []
+
+
+def test_tracer_hooks_resolve():
+    # perfbench/tracer.py skips a hook whose target is gone, which drops its
+    # per-layer metric; every hook must name a live module-level function.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.HOOKS
+    for module_name, func, _, _ in tracer.HOOKS:
+        assert callable(getattr(importlib.import_module(module_name), func, None)), (module_name, func)
