@@ -19,6 +19,7 @@ from .coloring import (
     extract_stars,
     is_valid,
     lower_demand,
+    node_loads,
     orientation_to_owner,
     owner_to_orientation,
     star_partition_value,
@@ -28,7 +29,6 @@ from .dfs_solver import (
     color_one_edge,
     ensure_feasibility,
     minimum_star_coloring,
-    preprocess_and_solve,
     solve_with_state,
 )
 from .flow_solver import (
@@ -61,8 +61,10 @@ from .reductions import (
     PendantReduction,
     ind_to_star,
     max_indegree,
+    preprocess_and_solve,
     recover_ind_solution,
     simultaneous_optimum,
+    solve,
     solve_min_max_ind,
 )
 from .weighted import (
@@ -83,17 +85,18 @@ from .weighted import (
     weighted_star_value,
 )
 
-# The solving surface.  Helpers such as test_x, slackness, max_flow_unit
-# and lower_demand stay importable from here but are not exported.
+# The solving surface.  Helpers such as test_x, slackness, max_flow_unit,
+# lower_demand, node_loads and preprocess_and_solve stay importable from
+# here but are not exported.
 __all__ = [
     # graph construction
     "Graph",
     "GraphKind",
     "build_graph",
     # exact solvers
+    "solve",
     "minimum_star_coloring",
     "minimum_star_coloring_flow",
-    "preprocess_and_solve",
     "solve_min_max_ind",
     "simultaneous_optimum",
     # reductions

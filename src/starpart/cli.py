@@ -18,14 +18,14 @@ import time
 from .coloring import (
     INFEASIBLE,
     PartialColoring,
-    SolveResult,
+    node_loads,
     orientation_to_owner,
     owner_to_orientation,
 )
-from .dfs_solver import minimum_star_coloring, preprocess_and_solve
+from .dfs_solver import minimum_star_coloring
 from .errors import StarPartError, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow
-from .graph import Graph, GraphKind, build_graph, other_end
+from .graph import GraphKind, build_graph
 from .instance_io import (
     Instance,
     format_instance,
@@ -34,13 +34,8 @@ from .instance_io import (
     parse_instance,
     parse_solution,
 )
-from .oracle import GeneratorSpec, brute_force_kstar, brute_force_xstar, generate
-from .reductions import (
-    PendantReduction,
-    ind_to_star,
-    recover_ind_solution,
-    solve_min_max_ind,
-)
+from .oracle import GeneratorSpec, generate
+from .reductions import PendantReduction, ind_to_star, recover_ind_solution, solve
 from .weighted import (
     binpacking_to_wind,
     brute_force_weighted,
@@ -48,7 +43,6 @@ from .weighted import (
     gadget_transform,
     approx2_wind,
     approx4_wstar,
-    weighted_indeg_value,
 )
 
 EXIT_OK = 0
@@ -123,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="race the two exact solvers on a size ladder")
-    p.add_argument("--family", choices=["random"], default="random")
     p.add_argument("--nodes", default="200..2000", help="size range a..b")
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--edge-factor", type=float, default=2.0)
@@ -152,57 +145,12 @@ def _default_seed(explicit) -> int:
 # --- solve -------------------------------------------------------------------
 
 
-def _is_weighted(g: Graph, algo: str) -> bool:
-    """True iff g carries node weights, which only --algo oracle solves exactly."""
-    weighted = any(w != 1 for w in g.weights)
-    if weighted and algo != "oracle":
-        raise UnsupportedKind(
-            "weighted instances are only solved exactly by --algo oracle; "
-            "see the approx command for the polynomial route"
-        )
-    return weighted
-
-
-def _solve_star(g: Graph, algo: str):
-    if _is_weighted(g, algo):
-        value, orientation = brute_force_weighted(g, g.weights, "star")
-        return SolveResult(value, orientation_to_owner(g, orientation))
-    if algo == "oracle":
-        return brute_force_xstar(g)
-    if g.kind in (GraphKind.MULTI, GraphKind.WITH_SELF_LOOPS):
-        return preprocess_and_solve(g, algo)
-    if algo == "dfs":
-        return minimum_star_coloring(g)
-    return minimum_star_coloring_flow(g)
-
-
-def _solve_ind(g: Graph, algo: str):
-    if g.kind is not GraphKind.SIMPLE:
-        raise UnsupportedKind("the indegree objective needs a simple graph")
-    if _is_weighted(g, algo):
-        return brute_force_weighted(g, g.weights, "ind")
-    if algo == "oracle":
-        return brute_force_kstar(g)
-    return solve_min_max_ind(g, algo)
-
-
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
-    g = inst.graph
-    algo = args.algo
-    if algo == "auto":
-        # the flow solver's hypergraph form is not implemented here
-        algo = "dfs" if g.kind is GraphKind.LINEAR_HYPER else "flow"
-    if args.objective == "star":
-        res = _solve_star(g, algo)
-        value, coloring = res.value, res.coloring
-    else:
-        value, orientation = _solve_ind(g, algo)
-        # owners are the tails, so the file is readable either way
-        coloring = None if orientation is None else orientation_to_owner(g, orientation)
-    print("value " + ("INFEASIBLE" if value == INFEASIBLE else str(int(value))))
+    res = solve(inst.graph, args.objective, args.algo)
+    print("value " + ("INFEASIBLE" if res.value == INFEASIBLE else str(int(res.value))))
     if args.out:
-        _write(args.out, format_solution(inst, coloring, value))
+        _write(args.out, format_solution(inst, res.coloring, res.value))
     return EXIT_OK
 
 
@@ -227,32 +175,16 @@ def cmd_verify(args) -> int:
         if owners[e] not in g.edges[e]:
             return _fail(f"owner of edge {e} is not an endpoint")
 
-    if args.objective == "ind":
-        if any(len(nodes) != 2 for nodes in g.edges):
-            raise UnsupportedKind("the indegree objective needs two-endpoint edges")
-        indeg = [0] * g.n
-        load = [0] * g.n
-        for e, nodes in enumerate(g.edges):
-            head = other_end(nodes, owners[e])
-            indeg[head] += 1
-            load[head] += g.weights[owners[e]]
-        for v in range(g.n):
-            if indeg[v] > g.capacities[v]:
-                return _fail(
-                    f"node {inst.node_names[v]} has indegree {indeg[v]} over capacity "
-                    f"{g.capacities[v]}"
-                )
-        per_node = load
-    else:
-        per_node = []
-        for v in range(g.n):
-            seen = {owners[e] for e in g.incidence[v]}
-            if len(seen) > g.capacities[v]:
-                return _fail(
-                    f"node {inst.node_names[v]} sees {len(seen)} colors over capacity "
-                    f"{g.capacities[v]}"
-                )
-            per_node.append(sum(g.weights[u] for u in seen))
+    ind = args.objective == "ind"
+    if ind and any(len(nodes) != 2 for nodes in g.edges):
+        raise UnsupportedKind("the indegree objective needs two-endpoint edges")
+    counts = node_loads(g, owners, args.objective)
+    for v in range(g.n):
+        if counts[v] > g.capacities[v]:
+            seen = f"has indegree {counts[v]}" if ind else f"sees {counts[v]} colors"
+            return _fail(f"node {inst.node_names[v]} {seen} over capacity {g.capacities[v]}")
+    unweighted = all(w == 1 for w in g.weights)
+    per_node = counts if unweighted else node_loads(g, owners, args.objective, g.weights)
 
     value = max(per_node) if per_node else 0
     if args.verbose:
@@ -299,8 +231,6 @@ def cmd_reduce(args) -> int:
         if args.k is None or args.k < 1:
             raise ValueError("wind2wstar needs --k >= 1")
         inst = parse_instance(_read(args.input))
-        if inst.graph.kind is not GraphKind.SIMPLE:
-            raise UnsupportedKind("wind2wstar expects a simple instance")
         red = gadget_transform(inst.graph, inst.graph.weights, args.k)
         taken = set(inst.node_names)
         names = list(inst.node_names)
@@ -368,8 +298,8 @@ def cmd_pullback(args) -> int:
         else:
             # raises ValueError, before anything is written, on a non-endpoint owner
             orientation = owner_to_orientation(orig, PartialColoring(coloring.owner[:m]))
-        value = max(weighted_indeg_value(orig, orig.weights, orientation, v) for v in range(n))
         solution = orientation_to_owner(orig, orientation)  # owners are the tails
+        value = max(node_loads(orig, solution.owner, "ind", orig.weights))
         _write(args.out, format_solution(Instance(orig, tuple(orig_names)), solution, value))
         print(f"value {value}")
         if kind == "wind2wstar" and value > sidecar["k"]:
@@ -407,8 +337,6 @@ def cmd_pullback(args) -> int:
 def cmd_approx(args) -> int:
     inst = parse_instance(_read(args.instance))
     g = inst.graph
-    if g.kind is not GraphKind.SIMPLE:
-        raise UnsupportedKind("the weighted approximations expect a simple instance")
     if args.objective == "wind":
         orientation, value = approx2_wind(g)
         coloring = orientation_to_owner(g, orientation)  # owners are the tails

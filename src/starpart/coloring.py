@@ -145,19 +145,35 @@ def color_count(g: Graph, coloring: PartialColoring, v: int) -> int:
     return len({coloring.owner[e] for e in g.incidence[v]})
 
 
+def node_loads(g: Graph, owner, objective: str, weights=None) -> list[int]:
+    """Per-node objective terms of complete owners indexed by edge id.
+
+    ``star``: the weight sum of the distinct owners a node sees.  ``ind``:
+    the weight sum of the owners of its in-edges, whose heads are the
+    non-owner ends.  With ``weights=None`` every owner counts 1.
+    """
+    if objective == "ind":
+        loads = [0] * g.n
+        for e, nodes in enumerate(g.edges):
+            o = owner[e]
+            loads[other_end(nodes, o)] += 1 if weights is None else weights[o]
+        return loads
+    if weights is None:
+        return [len({owner[e] for e in inc}) for inc in g.incidence]
+    return [sum(weights[u] for u in {owner[e] for e in inc}) for inc in g.incidence]
+
+
 def star_partition_value(g: Graph, coloring: PartialColoring) -> int:
     """Maximum over nodes of the distinct incident owner count."""
     _require_complete(g, coloring)
-    return max(len({coloring.owner[e] for e in g.incidence[v]}) for v in range(g.n))
+    return max(node_loads(g, coloring.owner, "star"))
 
 
 def is_valid(g: Graph, coloring: PartialColoring) -> bool:
     """True iff every node sees at most its capacity many distinct colors."""
     _require_complete(g, coloring)
-    return all(
-        len({coloring.owner[e] for e in g.incidence[v]}) <= g.capacities[v]
-        for v in range(g.n)
-    )
+    loads = node_loads(g, coloring.owner, "star")
+    return all(load <= cap for load, cap in zip(loads, g.capacities))
 
 
 def _demand(deg: int, cap: int, x: int, objective: str) -> int:

@@ -9,16 +9,16 @@ grows.  When a search fails, no target below the current one is
 achievable and the previous target is optimal.
 
 Runs in O(|E|^2) time on simple graphs and O(eta * |E|^2) on linear
-hypergraphs with maximum edge size eta.
+hypergraphs with maximum edge size eta.  This module holds only the
+search; multigraphs and self-loop graphs reach it through
+``reductions.preprocess_and_solve``, which seeds the loop counts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .coloring import INFEASIBLE, PartialColoring, SolveResult, _demand
 from .errors import UnsupportedKind
-from .graph import Graph, GraphKind, extract_self_loops, merge_parallel_edges
+from .graph import Graph, GraphKind
 
 
 class SearchState:
@@ -152,6 +152,18 @@ def _run_search(state: SearchState, v: int, instrument: bool) -> bool:
     return ok
 
 
+def _meet_demands(state: SearchState, instrument: bool) -> bool:
+    # Search from every node until it owns its demand at state.target_x;
+    # False as soon as one search fails.
+    x = state.target_x
+    for v in range(state.graph.n):
+        need = state.demand(v, x)
+        while state.n_eq[v] < need:
+            if not _run_search(state, v, instrument):
+                return False
+    return True
+
+
 def ensure_feasibility(state: SearchState, instrument: bool = False) -> bool:
     """Meet the demands at the loosest target x = max degree.
 
@@ -159,14 +171,7 @@ def ensure_feasibility(state: SearchState, instrument: bool = False) -> bool:
     least degree - capacity + 1 incident edges; if that is impossible no
     valid coloring exists at all.
     """
-    g = state.graph
-    top = state.target_x
-    for v in range(g.n):
-        need = state.demand(v, top)
-        while state.n_eq[v] < need:
-            if not _run_search(state, v, instrument):
-                return False
-    return True
+    return _meet_demands(state, instrument)
 
 
 def _finish(state: SearchState, value: int) -> SolveResult:
@@ -199,15 +204,10 @@ def solve_with_state(
         return SolveResult(0, PartialColoring(())), state
     if not ensure_feasibility(state, instrument):
         return SolveResult(INFEASIBLE, None), state
-    x = delta - 1
-    while x > 0:
+    for x in range(delta - 1, 0, -1):
         state.target_x = x
-        for v in range(g.n):
-            need = state.demand(v, x)
-            while state.n_eq[v] < need:
-                if not _run_search(state, v, instrument):
-                    return _finish(state, x + 1), state
-        x -= 1
+        if not _meet_demands(state, instrument):
+            return _finish(state, x + 1), state
     return _finish(state, 1), state
 
 
@@ -215,53 +215,8 @@ def minimum_star_coloring(g: Graph, instrument: bool = False) -> SolveResult:
     """Compute the optimal star partition value and a witness coloring.
 
     Accepts simple graphs and linear hypergraphs; multigraphs and graphs
-    with self-loops go through :func:`preprocess_and_solve`.  The witness
-    is complete and achieves the returned value exactly.
+    with self-loops go through ``reductions.preprocess_and_solve``.  The
+    witness is complete and achieves the returned value exactly.
     """
     result, _ = solve_with_state(g, instrument=instrument)
     return result
-
-
-def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
-    """Solve a multigraph or self-loop graph and map the witness back.
-
-    Multigraphs are solved on the parallel-merged simple graph and every
-    edge copies its representative's owner.  Self-loops are pre-owned by
-    their node and seed the owned-edge counts; the remainder is solved as
-    a simple graph with the loop-inclusive degrees.  ``algo`` picks the
-    solver for the simple core ("dfs" or "flow").
-    """
-    if algo not in ("dfs", "flow"):
-        raise ValueError(f"unknown algo {algo!r}")
-
-    def run(simple: Graph, loop_counts=None) -> SolveResult:
-        if algo == "flow":
-            from .flow_solver import solve_flow_seeded
-
-            return solve_flow_seeded(simple, loop_counts)
-        result, _ = solve_with_state(simple, loop_counts)
-        return result
-
-    if g.kind is GraphKind.MULTI:
-        simple, emap = merge_parallel_edges(g)
-        res = run(simple)
-        if not res.feasible:
-            return res
-        owner = tuple(res.coloring.owner[emap[e]] for e in range(g.m))
-        return SolveResult(res.value, PartialColoring(owner))
-
-    if g.kind is GraphKind.WITH_SELF_LOOPS:
-        simple, loops = extract_self_loops(g)
-        loop_counts = dict(Counter(v for v, _ in loops))
-        res = run(simple, loop_counts)
-        if not res.feasible:
-            return res
-        owner: list[int | None] = [None] * g.m
-        for v, orig_e in loops:
-            owner[orig_e] = v
-        plain_ids = [i for i, e in enumerate(g.edges) if len(e) == 2]
-        for new_e, orig_e in enumerate(plain_ids):
-            owner[orig_e] = res.coloring.owner[new_e]
-        return SolveResult(res.value, PartialColoring(tuple(owner)))
-
-    raise UnsupportedKind("preprocess_and_solve expects kind multi or selfloop")

@@ -1,28 +1,35 @@
-"""Bridges between min-max indegree and star partitioning.
+"""The exact-solve policy, and the bridges between indegree and star partitioning.
 
-Attaching a capacity-1 pendant node to every original node turns the
-indegree problem into a star partitioning instance: the pendant edge
-keeps a star of v's own color available, so v's star count is exactly its
-indegree plus one.  Without capacities, an orientation optimal for both
-objectives at once always exists and is picked from the two single-
-objective optima.
+:func:`solve` picks the exact solver for the graph kind, the objective and
+the node weights; :func:`preprocess_and_solve` reduces multigraphs and
+self-loop graphs to simple ones.  Attaching a capacity-1 pendant node to
+every original node turns the indegree problem into a star partitioning
+instance: the pendant edge keeps a star of v's own color available, so
+v's star count is exactly its indegree plus one.  Without capacities, an
+orientation optimal for both objectives at once always exists and is
+picked from the two single-objective optima.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import (
     INFEASIBLE,
     Orientation,
     PartialColoring,
+    SolveResult,
     is_valid,
+    orientation_to_owner,
     owner_to_orientation,
 )
-from .errors import CapacitiesPresent, InvalidColoring
-from .dfs_solver import minimum_star_coloring
+from .dfs_solver import minimum_star_coloring, solve_with_state
+from .errors import CapacitiesPresent, InvalidColoring, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow, solve_flow_seeded
-from .graph import Graph, GraphKind, build_graph
+from .graph import Graph, GraphKind, build_graph, extract_self_loops, merge_parallel_edges
+from .oracle import brute_force_kstar, brute_force_xstar
+from .weighted import brute_force_weighted
 
 #: An indegree instance is just a capacitated graph.
 IndInstance = Graph
@@ -82,26 +89,104 @@ def max_indegree(g: Graph, orientation: Orientation) -> int:
     return max(indeg) if indeg else 0
 
 
+def _solve_ind(g: Graph, algo: str) -> SolveResult:
+    # Min-max indegree with the tails as owners.  The dfs owners are read
+    # off the pendant coloring once recover_ind_solution has checked it.
+    if algo == "flow":
+        return solve_flow_seeded(g, None, "ind")
+    if algo != "dfs":
+        raise ValueError(f"unknown algo {algo!r}")
+    red = ind_to_star(g)
+    res = minimum_star_coloring(red.reduced)
+    if not res.feasible:
+        return res
+    recover_ind_solution(red, res.coloring)
+    return SolveResult(res.value - 1, PartialColoring(res.coloring.owner[: g.m]))
+
+
 def solve_min_max_ind(
     inst: IndInstance, algo: str = "flow"
 ) -> tuple[int | float, Orientation | None]:
     """Optimal capacity-feasible orientation minimizing the max indegree.
 
     ``algo="flow"`` runs the flow search on the graph itself; ``"dfs"``
-    solves the pendant star instance by depth-first recoloring.
+    solves the pendant star instance by depth-first recoloring.  Node
+    weights are ignored.
     """
-    if algo == "flow":
-        res = solve_flow_seeded(inst, None, "ind")
-        if not res.feasible:
-            return INFEASIBLE, None
-        return res.value, owner_to_orientation(inst, res.coloring)
-    if algo != "dfs":
-        raise ValueError(f"unknown algo {algo!r}")
-    red = ind_to_star(inst)
-    res = minimum_star_coloring(red.reduced)
+    res = _solve_ind(inst, algo)
     if not res.feasible:
         return INFEASIBLE, None
-    return res.value - 1, recover_ind_solution(red, res.coloring)
+    return res.value, owner_to_orientation(inst, res.coloring)
+
+
+def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
+    """Solve a multigraph or self-loop graph and map the witness back.
+
+    Multigraphs are solved on the parallel-merged simple graph and every
+    edge copies its representative's owner.  Self-loops are pre-owned by
+    their node and seed the owned-edge counts; the remainder is solved as
+    a simple graph with the loop-inclusive degrees.  ``algo`` picks the
+    solver for the simple core ("dfs" or "flow").
+    """
+    if algo not in ("dfs", "flow"):
+        raise ValueError(f"unknown algo {algo!r}")
+    if g.kind is GraphKind.MULTI:
+        simple, emap = merge_parallel_edges(g)
+        loop_counts = None
+    elif g.kind is GraphKind.WITH_SELF_LOOPS:
+        simple, loops = extract_self_loops(g)
+        loop_counts = dict(Counter(v for v, _ in loops))
+    else:
+        raise UnsupportedKind("preprocess_and_solve expects kind multi or selfloop")
+    if algo == "flow":
+        res = solve_flow_seeded(simple, loop_counts)
+    else:
+        res, _ = solve_with_state(simple, loop_counts)
+    if not res.feasible:
+        return res
+    if loop_counts is None:
+        return SolveResult(res.value, PartialColoring(tuple(res.coloring.owner[i] for i in emap)))
+    # a loop (v,) is owned by v; the plain edges keep their relative order
+    plain = iter(res.coloring.owner)
+    owner = tuple(nodes[0] if len(nodes) == 1 else next(plain) for nodes in g.edges)
+    return SolveResult(res.value, PartialColoring(owner))
+
+
+def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
+    """Exact optimum and witness of ``objective`` ("star" or "ind") on g.
+
+    ``algo="auto"`` runs the DFS on linear hypergraphs and the flow search
+    otherwise; "dfs" and "flow" force one exact solver and "oracle"
+    enumerates.  Multigraphs and self-loop graphs go through
+    :func:`preprocess_and_solve`.  The indegree objective needs a simple
+    graph, and its witness lets every tail own its edge, as in solution
+    files.  Node-weighted graphs are solved only by the oracle.
+    """
+    if objective not in ("star", "ind") or algo not in ("auto", "dfs", "flow", "oracle"):
+        raise ValueError(f"unknown objective {objective!r} or algo {algo!r}")
+    if algo == "auto":
+        algo = "dfs" if g.kind is GraphKind.LINEAR_HYPER else "flow"
+    if objective == "ind" and g.kind is not GraphKind.SIMPLE:
+        raise UnsupportedKind("the indegree objective needs a simple graph")
+    weighted = any(w != 1 for w in g.weights)
+    if weighted and algo != "oracle":
+        raise UnsupportedKind(
+            "weighted instances are only solved exactly by --algo oracle; "
+            "see the approx command for the polynomial route"
+        )
+    if algo == "oracle":
+        if weighted:
+            value, orientation = brute_force_weighted(g, g.weights, objective)
+        elif objective == "ind":
+            value, orientation = brute_force_kstar(g)
+        else:
+            return brute_force_xstar(g)
+        return SolveResult(value, None if orientation is None else orientation_to_owner(g, orientation))
+    if objective == "ind":
+        return _solve_ind(g, algo)
+    if g.kind in (GraphKind.MULTI, GraphKind.WITH_SELF_LOOPS):
+        return preprocess_and_solve(g, algo)
+    return minimum_star_coloring(g) if algo == "dfs" else minimum_star_coloring_flow(g)
 
 
 def simultaneous_optimum(g: Graph) -> tuple[Orientation, int, int]:
@@ -114,10 +199,6 @@ def simultaneous_optimum(g: Graph) -> tuple[Orientation, int, int]:
     if any(g.capacities[v] < len(g.incidence[v]) for v in range(g.n)):
         raise CapacitiesPresent("simultaneous optimum needs capacity-free input")
     star = minimum_star_coloring_flow(g)
-    k_value, k_orientation = solve_min_max_ind(g)
-    x_value = star.value
-    if x_value == k_value:
-        if g.m == 0:
-            return Orientation(()), int(x_value), int(k_value)
-        return owner_to_orientation(g, star.coloring), int(x_value), int(k_value)
-    return k_orientation, int(x_value), int(k_value)
+    ind = _solve_ind(g, "flow")
+    witness = star if star.value == ind.value else ind
+    return owner_to_orientation(g, witness.coloring), int(star.value), int(ind.value)
