@@ -21,6 +21,7 @@ from .coloring import (
     PartialColoring,
     SolveResult,
     is_valid,
+    node_loads,
     orientation_to_owner,
     owner_to_orientation,
 )
@@ -83,10 +84,7 @@ def recover_ind_solution(red: PendantReduction, coloring: PartialColoring) -> Or
 
 
 def max_indegree(g: Graph, orientation: Orientation) -> int:
-    indeg = [0] * g.n
-    for h in orientation.head:
-        indeg[h] += 1
-    return max(indeg) if indeg else 0
+    return max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind"), default=0)
 
 
 def _solve_ind(g: Graph, algo: str) -> SolveResult:

@@ -14,9 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import Orientation, PartialColoring, orientation_to_owner, pseudoforest_heads
+from .coloring import (
+    Orientation,
+    PartialColoring,
+    node_loads,
+    orientation_to_owner,
+    pseudoforest_heads,
+)
 from .errors import NoOutgoingEdge, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph, other_end
+from .graph import Graph, GraphKind, build_graph
 from .lp import find_basic_feasible
 from .oracle import _bit_chunks, _two_endpoint_tables
 
@@ -31,11 +37,7 @@ def _check_pairs(g: Graph) -> None:
 
 def weighted_indeg_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
     """Weight sum of the nodes with an edge directed toward v."""
-    total = 0
-    for e in g.incidence[v]:
-        if orientation.head[e] == v:
-            total += weights[other_end(g.edges[e], v)]
-    return total
+    return node_loads(g, orientation_to_owner(g, orientation).owner, "ind", weights)[v]
 
 
 def weighted_star_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
@@ -44,10 +46,7 @@ def weighted_star_value(g: Graph, weights, orientation: Orientation, v: int) -> 
     Every in-edge contributes its tail's star; v's own star counts once
     iff v has an outgoing edge.
     """
-    total = weighted_indeg_value(g, weights, orientation, v)
-    if any(orientation.head[e] != v for e in g.incidence[v]):
-        total += weights[v]
-    return total
+    return node_loads(g, orientation_to_owner(g, orientation).owner, "star", weights)[v]
 
 
 def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:
@@ -269,52 +268,37 @@ class FractionalOrientation:
 def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
     """Basic feasible point of the load LP at the given limit, if any.
 
-    Edge shares must be non-negative and sum to one per edge, a share is
+    Each edge's two shares are non-negative and sum to one, a share is
     forbidden outright when its cost alone exceeds the limit, and every
-    node's load stays within the limit.  The returned point is an exact
-    vertex, so its strictly fractional edges form a pseudoforest.
+    node's load stays within the limit.  A free edge (lo, hi) is one LP
+    column, its share x at lo: lo's row carries w[hi] x and hi's row
+    w[lo] (1 - x).  The returned point is an exact vertex, so its strictly
+    fractional edges form a pseudoforest.
     """
     _check_pairs(g)
     weights = tuple(int(x) for x in weights)
-    slack = [limit] * g.n  # what each node's free shares may still add
-    node_terms: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    free_edges, eq_rows = [], []  # free_edges: (edge id, var index of the lo share)
+    rhs = [limit] * g.n  # what each node's free shares may still add
+    free, cols = [], []
     for e, (lo, hi) in enumerate(g.edges):
         ok_lo, ok_hi = weights[hi] <= limit, weights[lo] <= limit  # cost of assigning to lo / hi
         if ok_lo and ok_hi:
-            base = 2 * len(free_edges)
-            free_edges.append((e, base))
-            eq_rows.append(([(base, 1), (base + 1, 1)], 1))
-            node_terms[lo].append((base, weights[hi]))
-            node_terms[hi].append((base + 1, weights[lo]))
+            free.append(e)
+            cols.append({lo: weights[hi], hi: -weights[lo]})
+            rhs[hi] -= weights[lo]
         elif ok_lo:
-            slack[lo] -= weights[hi]
+            rhs[lo] -= weights[hi]
         elif ok_hi:
-            slack[hi] -= weights[lo]
+            rhs[hi] -= weights[lo]
         else:
             return None
-    if any(s < 0 for s in slack):
+    shares = find_basic_feasible(cols, rhs)
+    if shares is None:
         return None
-    ub_rows = [(terms, s) for terms, s in zip(node_terms, slack) if terms]
-    solution = find_basic_feasible(2 * len(free_edges), eq_rows, ub_rows)
-    if solution is None:
-        return None
-    return _assemble_fractional(g, weights, limit, free_edges, solution)
-
-
-def _assemble_fractional(g, weights, limit, free_edges, solution) -> FractionalOrientation:
-    one, zero = Fraction(1), Fraction(0)
-    fractions: list[tuple[Fraction, Fraction]] = []
-    by_edge = dict(free_edges)
-    for e, (lo, hi) in enumerate(g.edges):
-        if e in by_edge:
-            base = by_edge[e]
-            fractions.append((solution[base], solution[base + 1]))
-        elif weights[hi] <= limit:
-            fractions.append((one, zero))
-        else:
-            fractions.append((zero, one))
-    return FractionalOrientation(g, tuple(weights), limit, tuple(fractions))
+    fractions = [(Fraction(1), Fraction(0)) if weights[hi] <= limit else (Fraction(0), Fraction(1))
+                 for lo, hi in g.edges]
+    for e, x in zip(free, shares):
+        fractions[e] = (x, 1 - x)
+    return FractionalOrientation(g, weights, limit, tuple(fractions))
 
 
 def round_fractional(frac: FractionalOrientation) -> Orientation:
@@ -370,8 +354,7 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
         else:
             hi, frac = mid, cand
     orientation = round_fractional(frac)
-    value = max(weighted_indeg_value(g, w, orientation, v) for v in range(g.n))
-    return orientation, value
+    return orientation, max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind", w))
 
 
 def approx4_wstar(g: Graph, weights=None) -> tuple[PartialColoring, int]:
@@ -386,5 +369,4 @@ def approx4_wstar(g: Graph, weights=None) -> tuple[PartialColoring, int]:
     if g.m == 0:
         return PartialColoring(()), 0
     coloring = orientation_to_owner(g, orientation)
-    value = max(weighted_star_value(g, w, orientation, v) for v in range(g.n))
-    return coloring, value
+    return coloring, max(node_loads(g, coloring.owner, "star", w))

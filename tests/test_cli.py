@@ -471,3 +471,17 @@ def test_pullback_wind2wstar_rejects_non_endpoint_owner(tmp_path, capsys, bad_ow
     ]) == 2
     assert "not an endpoint" in capsys.readouterr().err
     assert not back.exists()
+
+
+def test_verify_ind_rejects_multigraph_like_solve(tmp_path, capsys):
+    inst = tmp_path / "multi.graph"
+    inst.write_text("kind multi\nnode a\nnode b\nnode c\nedge a b\nedge a b\nedge b c\n")
+    sol = tmp_path / "multi.sol"
+    sol.write_text("owner 0 a\nowner 1 b\nowner 2 b\n")
+    assert main(["solve", str(inst), "--objective", "ind"]) == 2
+    solve_err = capsys.readouterr().err
+    assert main(["verify", str(inst), str(sol), "--objective", "ind"]) == 2
+    verify_err = capsys.readouterr().err
+    assert "the indegree objective needs a simple graph" in verify_err
+    assert verify_err == solve_err
+    assert main(["verify", str(inst), str(sol)]) == 0  # the star objective still verifies

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,36 +12,70 @@ F = Fraction
 
 
 def test_equalities_only():
-    # x0 + x1 = 1 with x >= 0
-    solution = find_basic_feasible(2, [([(0, F(1)), (1, F(1))], F(1))], [])
-    assert solution is not None
-    assert solution[0] + solution[1] == 1
-    assert all(x >= 0 for x in solution)
+    # 3 x0 <= 1 and 4 x1 <= 1, while 3 x0 + 4 x1 >= 2 turns both into equalities:
+    # a tree of rows r0 - x0 - r1 - x1 - r2 with one feasible point
+    solution = find_basic_feasible([{0: 3, 1: -3}, {1: -4, 2: 4}], [1, -2, 1])
+    assert solution == [F(1, 3), F(1, 4)]
+    assert all(type(x) is Fraction for x in solution)
 
 
 def test_infeasible_system():
-    rows = [([(0, F(1))], F(1)), ([(0, F(1))], F(2))]
-    assert find_basic_feasible(1, rows, []) is None
+    # x0 <= -1 with x0 >= 0
+    assert find_basic_feasible([{0: 1}], [-1]) is None
 
 
 def test_negative_rhs_inequality():
-    # -x0 <= -2 forces x0 >= 2
-    solution = find_basic_feasible(1, [], [([(0, F(-1))], F(-2))])
-    assert solution is not None
-    assert solution[0] >= 2
+    # -x0 <= -1 forces x0 = 1
+    assert find_basic_feasible([{0: -1}], [-1]) == [F(1)]
 
 
-def test_mixed_system():
-    eq = [([(0, F(1)), (1, F(1))], F(1))]
-    ub = [([(0, F(3))], F(1))]
-    solution = find_basic_feasible(2, eq, ub)
-    assert solution is not None
-    assert solution[0] + solution[1] == 1
-    assert 3 * solution[0] <= 1
+# x0 + x2 <= 1, x0 + x1 <= 1, 3 x1 + 6 x2 + 3 x3 <= 4, 3 x3 <= 1: a cycle of the
+# first three rows through x0, x1, x2 and a pendant row fixing x3 at 1/3
+CYCLE_COLS = [{0: 1, 1: 1}, {1: 1, 2: 3}, {2: 6, 0: 1}, {2: 3, 3: 3}]
+CYCLE_RHS = [1, 1, 4, 1]
+
+
+def _stub_linprog(monkeypatch, *results):
+    """Replace linprog by a stub answering one result per call; returns the methods asked."""
+    import scipy.optimize
+
+    methods, answers = [], iter(results)
+
+    def stub(*args, method, **kwargs):
+        methods.append(method)
+        return next(answers)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", stub)
+    return methods
+
+
+def test_mixed_system(monkeypatch):
+    # HiGHS's float vertex of the cycle: peeling fixes x3, walking the cycle the rest
+    vertex = SimpleNamespace(status=0, x=[2 / 3, 1 / 3, 1 / 3, 1 / 3], slack=[0.0, 1e-17, 0.0, 0.0])
+    methods = _stub_linprog(monkeypatch, vertex)
+    assert find_basic_feasible(CYCLE_COLS, CYCLE_RHS) == [F(2, 3), F(1, 3), F(1, 3), F(1, 3)]
+    assert methods == ["highs-ipm"]
 
 
 def test_no_rows_returns_origin():
-    assert find_basic_feasible(3, [], []) == [F(0)] * 3
+    assert find_basic_feasible([], []) == []
+    assert find_basic_feasible([], [0, 2]) == []
+    assert find_basic_feasible([], [1, -1]) is None
+
+
+def test_solve_error_is_retried_with_dual_simplex(monkeypatch):
+    failed = SimpleNamespace(status=4, x=None, slack=None, message="Solve error")
+    vertex = SimpleNamespace(status=0, x=[2 / 3, 1 / 3, 1 / 3, 1 / 3], slack=[0.0] * 4)
+    methods = _stub_linprog(monkeypatch, failed, vertex)
+    assert find_basic_feasible(CYCLE_COLS, CYCLE_RHS) == [F(2, 3), F(1, 3), F(1, 3), F(1, 3)]
+    assert methods == ["highs-ipm", "highs-ds"]
+
+
+@pytest.mark.parametrize("n, weights, limit", [(4, (2, 2, 1, 1), 2), (6, (7, 9, 7, 3, 7, 9), 17)])
+def test_infeasible_after_interior_point_solve_error(n, weights, limit):
+    # highs-ipm reports a solve error on these infeasible LPs; highs-ds proves infeasibility
+    g = build_graph(n, list(itertools.combinations(range(n), 2)), weights=list(weights))
+    assert lp_feasible(g, weights, limit) is None
 
 
 def test_pivot_rules_agree_on_feasibility():
@@ -170,11 +205,9 @@ def test_exact_vertex_on_heavy_weights():
 
 
 def test_non_basic_point_is_refused(monkeypatch):
-    import scipy.optimize
-
-    def midpoint(*args, **kwargs):  # feasible for x0 + x1 = 1, but not a vertex
-        return SimpleNamespace(status=0, x=[0.5, 0.5], slack=[], message="")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", midpoint)
+    # x0 + x1 <= 1 and -x0 - x1 <= -1: the midpoint is feasible, but not a vertex
+    midpoint = SimpleNamespace(status=0, x=[0.5, 0.5], slack=[0.0, 0.0], message="")
+    methods = _stub_linprog(monkeypatch, midpoint, midpoint)
     with pytest.raises(ArithmeticError):
-        find_basic_feasible(2, [([(0, F(1)), (1, F(1))], F(1))], [])
+        find_basic_feasible([{0: 1, 1: -1}, {0: 1, 1: -1}], [1, -1])
+    assert methods == ["highs-ipm", "highs-ds"]

@@ -346,3 +346,29 @@ def test_approx_unit_weights_against_unweighted_solver(fig2):
     _, value = approx2_wind(fig2)
     k_opt = brute_force_kstar(fig2)[0]
     assert k_opt <= value <= 2 * k_opt
+
+
+def test_approx_at_two_thousand_edges_keeps_exact_loads(monkeypatch):
+    from starpart import node_loads, orientation_to_owner, weighted
+
+    found = []
+
+    def recorded(*args):
+        frac = lp_feasible(*args)
+        if frac is not None:
+            found.append(frac)
+        return frac
+
+    monkeypatch.setattr(weighted, "lp_feasible", recorded)
+    rng = random.Random(113)
+    g0 = generate(GeneratorSpec("random", n=400, m=2000, seed=7))
+    w = [rng.randint(1, 1000) for _ in range(400)]
+    g = build_graph(400, g0.edges, weights=w)
+    orientation, value = approx2_wind(g)
+    final = found[-1]  # the point approx2_wind rounds
+    limit = final.limit
+    assert all(type(f) is Fraction and f >= 0 for pair in final.fractions for f in pair)
+    assert all(f_lo + f_hi == 1 for f_lo, f_hi in final.fractions)
+    assert all(final.load(v) <= limit for v in range(g.n))
+    assert value == max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind", w))
+    assert value <= 2 * limit
