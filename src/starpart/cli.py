@@ -35,7 +35,13 @@ from .instance_io import (
     parse_solution,
 )
 from .oracle import GeneratorSpec, generate
-from .reductions import PendantReduction, ind_to_star, recover_ind_solution, solve
+from .reductions import (
+    PendantReduction,
+    _require_ind_kind,
+    ind_to_star,
+    recover_ind_solution,
+    solve,
+)
 from .weighted import (
     binpacking_to_wind,
     brute_force_weighted,
@@ -176,8 +182,8 @@ def cmd_verify(args) -> int:
             return _fail(f"owner of edge {e} is not an endpoint")
 
     ind = args.objective == "ind"
-    if ind and g.kind is not GraphKind.SIMPLE:
-        raise UnsupportedKind("the indegree objective needs a simple graph")
+    if ind:
+        _require_ind_kind(g)
     counts = node_loads(g, owners, args.objective)
     for v in range(g.n):
         if counts[v] > g.capacities[v]:

@@ -142,7 +142,7 @@ def orientation_to_owner(g: Graph, orientation: Orientation) -> PartialColoring:
 def color_count(g: Graph, coloring: PartialColoring, v: int) -> int:
     """Number of distinct owners among the edges incident to v."""
     _require_complete(g, coloring)
-    return node_loads(g, coloring.owner, "star")[v]
+    return len({coloring.owner[e] for e in g.incidence[v]})
 
 
 def node_loads(g: Graph, owner, objective: str, weights=None) -> list[int]:

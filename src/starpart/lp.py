@@ -2,8 +2,9 @@
 
 Such a column is an edge between its rows, so the open columns of a vertex
 (those strictly inside their bounds) form a pseudoforest, which is what the
-rounding step downstream relies on.  HiGHS (``scipy.optimize.linprog``,
-imported on first use) finds a vertex in floating point, which is then read
+rounding step downstream relies on.  HiGHS's dual simplex
+(``scipy.optimize.linprog``, imported on first use) finds a vertex in
+floating point, which is then read
 off exactly over ``fractions.Fraction`` and checked against every row and
 bound, so callers get an exact vertex or an ``ArithmeticError``.
 """
@@ -19,8 +20,8 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
     """Return an exact vertex as a dense list, or None if the LP is infeasible.
 
     ``cols[j]`` maps each of column j's at most two rows to its integer
-    coefficient.  Raises ``ArithmeticError`` when neither HiGHS method gives
-    a point whose exact vertex passes every row and bound.
+    coefficient.  Raises ``ArithmeticError`` when HiGHS fails or gives a
+    point whose exact vertex fails a row or a bound.
     """
     if not cols:  # the empty point is the only candidate
         return None if any(b < 0 for b in rhs) else []
@@ -30,18 +31,12 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
     cells = [(c, r, j) for j, col in enumerate(cols) for r, c in col.items()]
     data, rows, columns = zip(*cells) if cells else ((), (), ())
     a_ub = csc_array((data, (rows, columns)), shape=(len(rhs), len(cols)), dtype=float)
-    for method in ("highs-ipm", "highs-ds"):
-        res = linprog([0.0] * len(cols), A_ub=a_ub, b_ub=rhs, bounds=(0, 1), method=method)
-        if res.status == 2:
-            return None
-        if res.status != 0:
-            error = ArithmeticError(f"HiGHS failed: {res.message}")
-            continue
-        try:
-            return _exact_vertex(cols, rhs, res.x, res.slack)
-        except ArithmeticError as exc:
-            error = exc
-    raise error
+    res = linprog([0.0] * len(cols), A_ub=a_ub, b_ub=rhs, bounds=(0, 1), method="highs-ds")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise ArithmeticError(f"HiGHS failed: {res.message}")
+    return _exact_vertex(cols, rhs, res.x, res.slack)
 
 
 def _exact_vertex(cols, rhs, x_float, slack_float) -> list[Fraction]:

@@ -150,6 +150,11 @@ def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
     return SolveResult(res.value, PartialColoring(owner))
 
 
+def _require_ind_kind(g: Graph) -> None:
+    if g.kind is not GraphKind.SIMPLE:
+        raise UnsupportedKind("the indegree objective needs a simple graph")
+
+
 def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
     """Exact optimum and witness of ``objective`` ("star" or "ind") on g.
 
@@ -164,8 +169,8 @@ def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
         raise ValueError(f"unknown objective {objective!r} or algo {algo!r}")
     if algo == "auto":
         algo = "dfs" if g.kind is GraphKind.LINEAR_HYPER else "flow"
-    if objective == "ind" and g.kind is not GraphKind.SIMPLE:
-        raise UnsupportedKind("the indegree objective needs a simple graph")
+    if objective == "ind":
+        _require_ind_kind(g)
     weighted = any(w != 1 for w in g.weights)
     if weighted and algo != "oracle":
         raise UnsupportedKind(

@@ -22,7 +22,7 @@ from .coloring import (
     pseudoforest_heads,
 )
 from .errors import NoOutgoingEdge, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph
+from .graph import Graph, GraphKind, build_graph, other_end
 from .lp import find_basic_feasible
 from .oracle import _bit_chunks, _two_endpoint_tables
 
@@ -37,7 +37,11 @@ def _check_pairs(g: Graph) -> None:
 
 def weighted_indeg_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
     """Weight sum of the nodes with an edge directed toward v."""
-    return node_loads(g, orientation_to_owner(g, orientation).owner, "ind", weights)[v]
+    total = 0
+    for e in g.incidence[v]:
+        if orientation.head[e] == v:
+            total += weights[other_end(g.edges[e], v)]
+    return total
 
 
 def weighted_star_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
@@ -46,7 +50,10 @@ def weighted_star_value(g: Graph, weights, orientation: Orientation, v: int) -> 
     Every in-edge contributes its tail's star; v's own star counts once
     iff v has an outgoing edge.
     """
-    return node_loads(g, orientation_to_owner(g, orientation).owner, "star", weights)[v]
+    total = weighted_indeg_value(g, weights, orientation, v)
+    if any(orientation.head[e] != v for e in g.incidence[v]):
+        total += weights[v]
+    return total
 
 
 def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:
@@ -277,21 +284,26 @@ def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
     """
     _check_pairs(g)
     weights = tuple(int(x) for x in weights)
-    rhs = [limit] * g.n  # what each node's free shares may still add
-    free, cols = [], []
+    slack = [limit] * g.n  # what each node's free shares may still add
+    free = []
     for e, (lo, hi) in enumerate(g.edges):
         ok_lo, ok_hi = weights[hi] <= limit, weights[lo] <= limit  # cost of assigning to lo / hi
         if ok_lo and ok_hi:
             free.append(e)
-            cols.append({lo: weights[hi], hi: -weights[lo]})
-            rhs[hi] -= weights[lo]
         elif ok_lo:
-            rhs[lo] -= weights[hi]
+            slack[lo] -= weights[hi]
         elif ok_hi:
-            rhs[hi] -= weights[lo]
+            slack[hi] -= weights[lo]
         else:
             return None
-    shares = find_basic_feasible(cols, rhs)
+    if any(s < 0 for s in slack):  # forced costs alone exceed the limit
+        return None
+    cols = []
+    for e in free:
+        lo, hi = g.edges[e]
+        cols.append({lo: weights[hi], hi: -weights[lo]})
+        slack[hi] -= weights[lo]  # the rows' right-hand sides: hi carries w[lo] (1 - x)
+    shares = find_basic_feasible(cols, slack)
     if shares is None:
         return None
     fractions = [(Fraction(1), Fraction(0)) if weights[hi] <= limit else (Fraction(0), Fraction(1))

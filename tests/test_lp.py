@@ -54,7 +54,7 @@ def test_mixed_system(monkeypatch):
     vertex = SimpleNamespace(status=0, x=[2 / 3, 1 / 3, 1 / 3, 1 / 3], slack=[0.0, 1e-17, 0.0, 0.0])
     methods = _stub_linprog(monkeypatch, vertex)
     assert find_basic_feasible(CYCLE_COLS, CYCLE_RHS) == [F(2, 3), F(1, 3), F(1, 3), F(1, 3)]
-    assert methods == ["highs-ipm"]
+    assert methods == ["highs-ds"]
 
 
 def test_no_rows_returns_origin():
@@ -63,19 +63,19 @@ def test_no_rows_returns_origin():
     assert find_basic_feasible([], [1, -1]) is None
 
 
-def test_solve_error_is_retried_with_dual_simplex(monkeypatch):
-    failed = SimpleNamespace(status=4, x=None, slack=None, message="Solve error")
-    vertex = SimpleNamespace(status=0, x=[2 / 3, 1 / 3, 1 / 3, 1 / 3], slack=[0.0] * 4)
-    methods = _stub_linprog(monkeypatch, failed, vertex)
-    assert find_basic_feasible(CYCLE_COLS, CYCLE_RHS) == [F(2, 3), F(1, 3), F(1, 3), F(1, 3)]
-    assert methods == ["highs-ipm", "highs-ds"]
-
-
 @pytest.mark.parametrize("n, weights, limit", [(4, (2, 2, 1, 1), 2), (6, (7, 9, 7, 3, 7, 9), 17)])
-def test_infeasible_after_interior_point_solve_error(n, weights, limit):
-    # highs-ipm reports a solve error on these infeasible LPs; highs-ds proves infeasibility
+def test_infeasible_complete_graphs(n, weights, limit):
+    # infeasible although no node's forced costs alone exceed the limit
     g = build_graph(n, list(itertools.combinations(range(n), 2)), weights=list(weights))
     assert lp_feasible(g, weights, limit) is None
+
+
+def test_forced_costs_over_the_limit_skip_highs(monkeypatch):
+    # both edges must go to node 0 (w0 = 9 > 5), which then carries 3 + 3 > 5
+    methods = _stub_linprog(monkeypatch)
+    g = build_graph(3, [(0, 1), (0, 2)], weights=[9, 3, 3])
+    assert lp_feasible(g, (9, 3, 3), 5) is None
+    assert methods == []
 
 
 def test_pivot_rules_agree_on_feasibility():
@@ -207,7 +207,7 @@ def test_exact_vertex_on_heavy_weights():
 def test_non_basic_point_is_refused(monkeypatch):
     # x0 + x1 <= 1 and -x0 - x1 <= -1: the midpoint is feasible, but not a vertex
     midpoint = SimpleNamespace(status=0, x=[0.5, 0.5], slack=[0.0, 0.0], message="")
-    methods = _stub_linprog(monkeypatch, midpoint, midpoint)
+    methods = _stub_linprog(monkeypatch, midpoint)
     with pytest.raises(ArithmeticError):
         find_basic_feasible([{0: 1, 1: -1}, {0: 1, 1: -1}], [1, -1])
-    assert methods == ["highs-ipm", "highs-ds"]
+    assert methods == ["highs-ds"]
