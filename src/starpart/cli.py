@@ -35,13 +35,7 @@ from .instance_io import (
     parse_solution,
 )
 from .oracle import GeneratorSpec, generate
-from .reductions import (
-    PendantReduction,
-    _require_ind_kind,
-    ind_to_star,
-    recover_ind_solution,
-    solve,
-)
+from .reductions import PendantReduction, _require_ind_kind, ind_to_star, recover_ind_solution, solve
 from .weighted import (
     binpacking_to_wind,
     brute_force_weighted,

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import (
-    Orientation,
-    PartialColoring,
-    node_loads,
-    orientation_to_owner,
-    pseudoforest_heads,
-)
+from .coloring import Orientation, PartialColoring, node_loads, orientation_to_owner, pseudoforest_heads
 from .errors import NoOutgoingEdge, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, other_end
 from .lp import find_basic_feasible

@@ -71,9 +71,10 @@ def test_infeasible_complete_graphs(n, weights, limit):
 
 
 def test_forced_costs_over_the_limit_skip_highs(monkeypatch):
-    # both edges must go to node 0 (w0 = 9 > 5), which then carries 3 + 3 > 5
+    # edges 01 and 02 must go to node 0 (w0 = 9 > 5), which then carries 3 + 3 > 5;
+    # edge 12 stays free, so the LP has a column
     methods = _stub_linprog(monkeypatch)
-    g = build_graph(3, [(0, 1), (0, 2)], weights=[9, 3, 3])
+    g = build_graph(3, [(0, 1), (0, 2), (1, 2)], weights=[9, 3, 3])
     assert lp_feasible(g, (9, 3, 3), 5) is None
     assert methods == []
 
