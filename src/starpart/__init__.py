@@ -15,7 +15,6 @@ from .coloring import (
     PartialColoring,
     SolveResult,
     StarDecomposition,
-    color_count,
     extract_stars,
     is_valid,
     lower_demand,
@@ -81,13 +80,11 @@ from .weighted import (
     lp_feasible,
     packing_to_orientation,
     round_fractional,
-    weighted_indeg_value,
-    weighted_star_value,
 )
 
 # The solving surface.  Helpers such as test_x, slackness, max_flow_unit,
-# lower_demand, node_loads and preprocess_and_solve stay importable from
-# here but are not exported.
+# lower_demand and preprocess_and_solve stay importable from here but are
+# not exported.
 __all__ = [
     # graph construction
     "Graph",
@@ -119,8 +116,7 @@ __all__ = [
     "star_partition_value",
     "is_valid",
     "max_indegree",
-    "weighted_indeg_value",
-    "weighted_star_value",
+    "node_loads",
     "owner_to_orientation",
     "orientation_to_owner",
     # result types

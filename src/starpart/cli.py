@@ -22,9 +22,7 @@ from .coloring import (
     orientation_to_owner,
     owner_to_orientation,
 )
-from .dfs_solver import minimum_star_coloring
 from .errors import StarPartError, UnsupportedKind
-from .flow_solver import minimum_star_coloring_flow
 from .graph import GraphKind, build_graph
 from .instance_io import (
     Instance,
@@ -396,9 +394,9 @@ def cmd_bench(args) -> int:
         m = min(int(args.edge_factor * n), n * (n - 1) // 2)
         g = generate(GeneratorSpec("random", n=n, m=m, seed=seed))
         t0 = time.perf_counter()
-        r_dfs = minimum_star_coloring(g)
+        r_dfs = solve(g, "star", "dfs")
         t1 = time.perf_counter()
-        r_flow = minimum_star_coloring_flow(g)
+        r_flow = solve(g, "star", "flow")
         t2 = time.perf_counter()
         if r_dfs.value != r_flow.value:
             print(

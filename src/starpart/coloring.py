@@ -139,12 +139,6 @@ def orientation_to_owner(g: Graph, orientation: Orientation) -> PartialColoring:
     return PartialColoring(_flip_ends(g, orientation.head, "head"))
 
 
-def color_count(g: Graph, coloring: PartialColoring, v: int) -> int:
-    """Number of distinct owners among the edges incident to v."""
-    _require_complete(g, coloring)
-    return len({coloring.owner[e] for e in g.incidence[v]})
-
-
 def node_loads(g: Graph, owner, objective: str, weights=None) -> list[int]:
     """Per-node objective terms of complete owners indexed by edge id.
 
@@ -177,7 +171,11 @@ def is_valid(g: Graph, coloring: PartialColoring) -> bool:
 
 
 def _demand(deg: int, cap: int, x: int, objective: str) -> int:
-    """Edges a node must own at target x (self-loop seeds count in deg).
+    """Edges a node of degree deg must own at target x.
+
+    deg counts the node's edges in a simple graph or linear hypergraph;
+    a self-loop reaches the solvers as a capacity-1 pendant edge instead
+    (``reductions.preprocess_and_solve``).
 
     ind: indegree deg - out <= min(cap, x).  star: the node also sees its
     own star, like one more incident edge, so it owns the ind demand at

@@ -11,7 +11,7 @@ achievable and the previous target is optimal.
 Runs in O(|E|^2) time on simple graphs and O(eta * |E|^2) on linear
 hypergraphs with maximum edge size eta.  This module holds only the
 search; multigraphs and self-loop graphs reach it through
-``reductions.preprocess_and_solve``, which seeds the loop counts.
+``reductions.preprocess_and_solve``, which hands it a simple graph.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ class SearchState:
 
     ``owner[e]`` is the partial coloring.  ``n_eq[v]`` counts the edges
     currently owned by v and ``n_none[v]`` the uncolored edges incident
-    to v; both are kept exact at all times.  ``deg`` may exceed the plain
-    incidence count when self-loop seeds are present, in which case
-    ``n_eq`` starts at the per-node loop count.  ``edge_visits`` counts
+    to v; both are kept exact at all times.  ``edge_visits`` counts
     every edge touch made by the searches; ``dfs_edge_visits`` is filled
     per search when instrumentation is on.
     """
@@ -45,16 +43,12 @@ class SearchState:
         "dfs_edge_visits",
     )
 
-    def __init__(self, g: Graph, loop_counts: dict[int, int] | None = None):
+    def __init__(self, g: Graph):
         self.graph = g
         self.owner: list[int | None] = [None] * g.m
         self.deg = [len(inc) for inc in g.incidence]
         self.n_eq = [0] * g.n
-        self.n_none = [len(inc) for inc in g.incidence]
-        if loop_counts:
-            for v, count in loop_counts.items():
-                self.deg[v] += count
-                self.n_eq[v] += count
+        self.n_none = list(self.deg)
         self.visited: set[int] = set()
         self.target_x = max(self.deg)
         self.edge_visits = 0
@@ -152,9 +146,14 @@ def _run_search(state: SearchState, v: int, instrument: bool) -> bool:
     return ok
 
 
-def _meet_demands(state: SearchState, instrument: bool) -> bool:
-    # Search from every node until it owns its demand at state.target_x;
-    # False as soon as one search fails.
+def ensure_feasibility(state: SearchState, instrument: bool = False) -> bool:
+    """Search from every node until it owns its demand at ``state.target_x``.
+
+    False as soon as one search fails.  At the first target, the max
+    degree, every node whose capacity is below its degree then owns at
+    least degree - capacity + 1 incident edges; if that is impossible no
+    valid coloring exists at all.
+    """
     x = state.target_x
     for v in range(state.graph.n):
         need = state.demand(v, x)
@@ -162,16 +161,6 @@ def _meet_demands(state: SearchState, instrument: bool) -> bool:
             if not _run_search(state, v, instrument):
                 return False
     return True
-
-
-def ensure_feasibility(state: SearchState, instrument: bool = False) -> bool:
-    """Meet the demands at the loosest target x = max degree.
-
-    Afterwards every node whose capacity is below its degree owns at
-    least degree - capacity + 1 incident edges; if that is impossible no
-    valid coloring exists at all.
-    """
-    return _meet_demands(state, instrument)
 
 
 def _finish(state: SearchState, value: int) -> SolveResult:
@@ -184,30 +173,25 @@ def _finish(state: SearchState, value: int) -> SolveResult:
     return SolveResult(value, PartialColoring(tuple(owner)))
 
 
-def solve_with_state(
-    g: Graph,
-    loop_counts: dict[int, int] | None = None,
-    instrument: bool = False,
-) -> tuple[SolveResult, SearchState]:
+def solve_with_state(g: Graph, instrument: bool = False) -> tuple[SolveResult, SearchState]:
     """Like :func:`minimum_star_coloring` but also returns the final state.
 
-    Useful for inspecting the visit counters.  ``loop_counts`` seeds
-    per-node self-loop degrees for the preprocessing path.
+    Useful for inspecting the visit counters.
     """
     if g.kind not in (GraphKind.SIMPLE, GraphKind.LINEAR_HYPER):
         raise UnsupportedKind(
             f"kind {g.kind.value} needs preprocess_and_solve, not the core solver"
         )
-    state = SearchState(g, loop_counts)
+    state = SearchState(g)
     delta = state.target_x
     if delta == 0:
         return SolveResult(0, PartialColoring(())), state
-    if not ensure_feasibility(state, instrument):
-        return SolveResult(INFEASIBLE, None), state
-    for x in range(delta - 1, 0, -1):
+    for x in range(delta, 0, -1):
         state.target_x = x
-        if not _meet_demands(state, instrument):
-            return _finish(state, x + 1), state
+        if not ensure_feasibility(state, instrument):
+            # Failing at the max degree means no valid coloring exists.
+            result = SolveResult(INFEASIBLE, None) if x == delta else _finish(state, x + 1)
+            return result, state
     return _finish(state, 1), state
 
 

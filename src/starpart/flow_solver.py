@@ -14,7 +14,8 @@ The same network decides min-max indegree with the demand deg - min(cap, k)
 network does not reach from the source, whose demand exceeds the edges
 meeting it; the next probe is the least target at which S is satisfiable,
 so the first success is optimal.  After ceil(log2 Δ) + 1 such probes the
-search bisects instead, keeping O(log Δ) probes.
+search bisects instead, keeping O(log Δ) probes.  Self-loops reach this
+module as capacity-1 pendants (``reductions.preprocess_and_solve``).
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ class IntegralFlow:
     value: int
 
 
-def _degrees(g: Graph, loop_counts: dict[int, int] | None) -> list[int]:
-    deg = [len(inc) for inc in g.incidence]
-    for v, count in (loop_counts or {}).items():
-        deg[v] += count
-    return deg
-
-
 def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
     """Outdegree headroom of v against its demand at target x.
 
@@ -83,18 +77,20 @@ def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
     return out - _demand(len(g.incidence[v]), g.capacities[v], x, "star")
 
 
-def _slacks(g: Graph, head: tuple[int, ...], x: int, deg: list[int], objective: str) -> list[int]:
-    # A node owns every edge at it, loop seeds included, that does not enter it.
+def _slacks(g: Graph, head: tuple[int, ...], x: int, objective: str) -> list[int]:
+    # A node owns every edge at it that does not enter it.
     indeg = [0] * g.n
     for h in head:
         indeg[h] += 1
-    caps = g.capacities
-    return [deg[v] - indeg[v] - _demand(deg[v], caps[v], x, objective) for v in range(g.n)]
+    return [
+        len(inc) - indeg[v] - _demand(len(inc), cap, x, objective)
+        for v, (inc, cap) in enumerate(zip(g.incidence, g.capacities))
+    ]
 
 
 def build_flow_network(g: Graph, orientation: Orientation, x: int) -> FlowNetwork:
     """Network whose max flow decides whether target x is achievable."""
-    slacks = _slacks(g, orientation.head, x, _degrees(g, None), "star")
+    slacks = _slacks(g, orientation.head, x, "star")
     return _network_from_slacks(g, orientation.head, slacks)
 
 
@@ -145,21 +141,15 @@ def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
 
 
 def _test_x(
-    g: Graph,
-    x: int,
-    start: Orientation,
-    loop_counts: dict[int, int] | None,
-    objective: str,
-    hall: list[int],
+    g: Graph, x: int, start: Orientation, objective: str, hall: list[int]
 ) -> Orientation | None:
     """Probe target x; on failure fill ``hall`` with a violated node set."""
-    deg = _degrees(g, loop_counts)
-    for v in range(g.n):
-        if _demand(deg[v], g.capacities[v], x, objective) > deg[v]:
+    for v, (inc, cap) in enumerate(zip(g.incidence, g.capacities)):
+        if _demand(len(inc), cap, x, objective) > len(inc):
             # v cannot own enough edges even if it owns all of them.
             hall[:] = [v]
             return None
-    slacks = _slacks(g, start.head, x, deg, objective)
+    slacks = _slacks(g, start.head, x, objective)
     required = sum(-s for s in slacks if s < 0)
     if required == 0:
         return start
@@ -181,7 +171,7 @@ def _hall_set(net: FlowNetwork, flow: IntegralFlow) -> list[int]:
     Residual graph arcs run tail to head in the repaired orientation, so
     every edge meeting the unreached set S is owned inside S; no node of S
     keeps a surplus and an unsaturated sink lies in S, so S's demand
-    exceeds its edges plus loop seeds.
+    exceeds its edges.
     """
     import numpy as np
     from scipy.sparse import csr_array
@@ -200,20 +190,18 @@ def _hall_set(net: FlowNetwork, flow: IntegralFlow) -> list[int]:
     return np.flatnonzero(~reached[:n]).tolist()
 
 
-def _next_target(
-    g: Graph, hall: list[int], x: int, delta: int, deg: list[int], objective: str
-) -> int | None:
+def _next_target(g: Graph, hall: list[int], x: int, delta: int, objective: str) -> int | None:
     """Least target in (x, delta] at which the Hall set is satisfiable.
 
-    Its nodes own at most the edges meeting it plus their loop seeds, and
-    their demand only falls as the target grows.  None means the set is
-    violated at delta, where every demand has settled: INFEASIBLE.
+    Its nodes own at most the edges meeting it, and their demand only
+    falls as the target grows.  None means the set is violated at delta,
+    where every demand has settled: INFEASIBLE.
     """
     supply = len({e for v in hall for e in g.incidence[v]})
-    supply += sum(deg[v] - len(g.incidence[v]) for v in hall)  # loop seeds
 
     def satisfiable(t: int) -> bool:
-        return sum(_demand(deg[v], g.capacities[v], t, objective) for v in hall) <= supply
+        need = sum(_demand(len(g.incidence[v]), g.capacities[v], t, objective) for v in hall)
+        return need <= supply
 
     targets = range(x + 1, delta + 1)
     i = bisect_left(targets, True, key=satisfiable)
@@ -227,7 +215,7 @@ def test_x(g: Graph, x: int, start: Orientation) -> Orientation | None:
     max flow saturates every sink arc; the result does not depend on the
     starting orientation, only possibly on which witness is returned.
     """
-    return _test_x(g, x, start, None, "star", [])
+    return _test_x(g, x, start, "star", [])
 
 
 test_x.__test__ = False  # not a pytest case despite the name
@@ -238,13 +226,12 @@ def _default_orientation(g: Graph) -> Orientation:
     return Orientation(tuple(nodes[1] for nodes in g.edges))
 
 
-def solve_flow_seeded(
-    g: Graph, loop_counts: dict[int, int] | None, objective: str = "star"
-) -> SolveResult:
-    """Solve a simple graph, optionally with loop seeds.
+def solve_flow_seeded(g: Graph, objective: str = "star") -> SolveResult:
+    """Exact optimum of ``objective`` on a simple graph.
 
     ``objective="ind"`` minimizes the max indegree instead of the star
-    count; its witness coloring lets every tail own its edge.
+    count; its witness coloring lets every tail own its edge.  It takes no
+    seeds; the name stays because ``perfbench/tracer.py`` hooks it.
     """
     if g.kind is not GraphKind.SIMPLE:
         raise UnsupportedKind(
@@ -252,36 +239,30 @@ def solve_flow_seeded(
             "not implemented here, and multigraphs/self-loops go through "
             "preprocess_and_solve"
         )
-    deg = _degrees(g, loop_counts)
-    delta = max(deg)
+    delta = max(len(inc) for inc in g.incidence)
     if delta == 0:
         return SolveResult(0, PartialColoring(()))
     # Counting bounds: the indegrees sum to m; node v sees indeg(v) + [v owns
     # an edge] colors, which sum to at least m + 1.
     lo = -(-g.m // g.n) if objective == "ind" else max(1, -(-(g.m + 1) // g.n))
-    start = _default_orientation(g)
+    hi = delta + 1
+    best = _default_orientation(g)
     hall: list[int] = []
-    for _ in range((delta - 1).bit_length() + 1):
-        best = _test_x(g, lo, start, loop_counts, objective, hall)
-        if best is not None:
-            return SolveResult(lo, orientation_to_owner(g, best))
-        lo = _next_target(g, hall, lo, delta, deg, objective)
-        if lo is None:
-            return SolveResult(INFEASIBLE, None)
-    # The cuts raised the bound slowly: bisect over [lo, delta] instead,
-    # still raising lo to the bound of every failed probe.
-    best = _test_x(g, delta, start, loop_counts, objective, hall)
-    if best is None:
-        return SolveResult(INFEASIBLE, None)
-    hi = delta
+    cuts = (delta - 1).bit_length() + 1
     while lo < hi:
-        mid = (lo + hi) // 2
+        # Probe the bound of the last failed Hall set while cuts remain; once
+        # they raised it too slowly, bisect, still raising lo past every
+        # failed probe's bound.
+        x = lo if cuts > 0 else (lo + hi) // 2
+        cuts -= 1
         # Warm start from the last successful witness; purely an optimization.
-        cand = _test_x(g, mid, best, loop_counts, objective, hall)
+        cand = _test_x(g, x, best, objective, hall)
         if cand is None:
-            lo = _next_target(g, hall, mid, delta, deg, objective)
+            lo = _next_target(g, hall, x, delta, objective)
+            if lo is None:
+                return SolveResult(INFEASIBLE, None)
         else:
-            hi, best = mid, cand
+            hi, best = x, cand
     return SolveResult(hi, orientation_to_owner(g, best))
 
 
@@ -292,4 +273,4 @@ def minimum_star_coloring_flow(g: Graph) -> SolveResult:
     sets; each probe costs one unit-capacity max flow.  Infeasibility
     surfaces as a Hall set violated at every target.
     """
-    return solve_flow_seeded(g, None)
+    return solve_flow_seeded(g)

@@ -56,6 +56,11 @@ def max_degree(g: Graph) -> int:
     return max(len(inc) for inc in g.incidence)
 
 
+def capacities_bind(g: Graph) -> bool:
+    """True iff some node's capacity is below its degree."""
+    return any(cap < len(inc) for cap, inc in zip(g.capacities, g.incidence))
+
+
 def other_end(edge: tuple[int, ...], v: int) -> int:
     """The endpoint of a two-endpoint edge that is not v: owner <-> head."""
     return edge[1] if v == edge[0] else edge[0]

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult, pseudoforest_heads
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph, max_degree, other_end
+from .graph import Graph, GraphKind, build_graph, capacities_bind, max_degree, other_end
 
 _EDGE_GUARD = 22
 _ASSIGNMENT_GUARD = 1 << 24
@@ -262,7 +262,7 @@ def closed_form(g: Graph) -> tuple[int, PartialColoring] | None:
     """
     if g.kind is not GraphKind.SIMPLE:
         return None
-    if any(g.capacities[v] < len(g.incidence[v]) for v in range(g.n)):
+    if capacities_bind(g):
         return None
     if g.m == 0:
         return 0, PartialColoring(())

@@ -2,17 +2,17 @@
 
 :func:`solve` picks the exact solver for the graph kind, the objective and
 the node weights; :func:`preprocess_and_solve` reduces multigraphs and
-self-loop graphs to simple ones.  Attaching a capacity-1 pendant node to
-every original node turns the indegree problem into a star partitioning
-instance: the pendant edge keeps a star of v's own color available, so
-v's star count is exactly its indegree plus one.  Without capacities, an
+self-loop graphs to simple ones.  A capacity-1 pendant node attached to v
+keeps a star of v's own color available, exactly as a self-loop does, so
+v's star count is its indegree plus one.  One pendant per original node
+turns the indegree problem into a star partitioning instance, and one per
+looped node replaces the loops.  Without capacities, an
 orientation optimal for both objectives at once always exists and is
 picked from the two single-objective optima.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import (
@@ -25,10 +25,10 @@ from .coloring import (
     orientation_to_owner,
     owner_to_orientation,
 )
-from .dfs_solver import minimum_star_coloring, solve_with_state
+from .dfs_solver import minimum_star_coloring
 from .errors import CapacitiesPresent, InvalidColoring, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow, solve_flow_seeded
-from .graph import Graph, GraphKind, build_graph, extract_self_loops, merge_parallel_edges
+from .graph import Graph, GraphKind, build_graph, capacities_bind, extract_self_loops, merge_parallel_edges
 from .oracle import brute_force_kstar, brute_force_xstar
 from .weighted import brute_force_weighted
 
@@ -52,15 +52,19 @@ class PendantReduction:
         return self.original.n + v
 
 
+def _attach_pendants(g: Graph, nodes, caps) -> Graph:
+    # Pendant g.n + i hangs off nodes[i]; the pendant edges follow g's edges,
+    # pendants get capacity 1 and weight 1, and g's nodes the given caps.
+    k = len(nodes)
+    edges = list(g.edges) + [(v, g.n + i) for i, v in enumerate(nodes)]
+    weights = list(g.weights) + [1] * k
+    return build_graph(g.n + k, edges, GraphKind.SIMPLE, list(caps) + [1] * k, weights)
+
+
 def ind_to_star(inst: IndInstance) -> PendantReduction:
     """Linear-time reduction; the star optimum is the indegree optimum plus one."""
-    g = inst
-    n = g.n
-    edges = list(g.edges) + [(v, n + v) for v in range(n)]
-    caps = [g.capacities[v] + 1 for v in range(n)] + [1] * n
-    weights = list(g.weights) + [1] * n
-    reduced = build_graph(2 * n, edges, GraphKind.SIMPLE, caps, weights)
-    return PendantReduction(original=g, reduced=reduced)
+    caps = [c + 1 for c in inst.capacities]
+    return PendantReduction(original=inst, reduced=_attach_pendants(inst, range(inst.n), caps))
 
 
 def recover_ind_solution(red: PendantReduction, coloring: PartialColoring) -> Orientation:
@@ -91,7 +95,7 @@ def _solve_ind(g: Graph, algo: str) -> SolveResult:
     # Min-max indegree with the tails as owners.  The dfs owners are read
     # off the pendant coloring once recover_ind_solution has checked it.
     if algo == "flow":
-        return solve_flow_seeded(g, None, "ind")
+        return solve_flow_seeded(g, "ind")
     if algo != "dfs":
         raise ValueError(f"unknown algo {algo!r}")
     red = ind_to_star(g)
@@ -121,32 +125,31 @@ def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
     """Solve a multigraph or self-loop graph and map the witness back.
 
     Multigraphs are solved on the parallel-merged simple graph and every
-    edge copies its representative's owner.  Self-loops are pre-owned by
-    their node and seed the owned-edge counts; the remainder is solved as
-    a simple graph with the loop-inclusive degrees.  ``algo`` picks the
-    solver for the simple core ("dfs" or "flow").
+    edge copies its representative's owner.  Self-loop graphs are solved
+    on their plain edges plus one capacity-1 pendant per looped node, the
+    gadget of :func:`ind_to_star`; every loop goes to its node and the
+    pendant edges are dropped.  ``algo`` picks the solver for the simple
+    graph ("dfs" or "flow").
     """
     if algo not in ("dfs", "flow"):
         raise ValueError(f"unknown algo {algo!r}")
     if g.kind is GraphKind.MULTI:
         simple, emap = merge_parallel_edges(g)
-        loop_counts = None
     elif g.kind is GraphKind.WITH_SELF_LOOPS:
-        simple, loops = extract_self_loops(g)
-        loop_counts = dict(Counter(v for v, _ in loops))
+        plain, loops = extract_self_loops(g)
+        # A looped node always sees its own color, as it would with a
+        # pendant it owns; several loops at one node count as one.
+        simple = _attach_pendants(plain, sorted({v for v, _ in loops}), plain.capacities)
     else:
         raise UnsupportedKind("preprocess_and_solve expects kind multi or selfloop")
-    if algo == "flow":
-        res = solve_flow_seeded(simple, loop_counts)
-    else:
-        res, _ = solve_with_state(simple, loop_counts)
+    res = minimum_star_coloring_flow(simple) if algo == "flow" else minimum_star_coloring(simple)
     if not res.feasible:
         return res
-    if loop_counts is None:
+    if g.kind is GraphKind.MULTI:
         return SolveResult(res.value, PartialColoring(tuple(res.coloring.owner[i] for i in emap)))
     # a loop (v,) is owned by v; the plain edges keep their relative order
-    plain = iter(res.coloring.owner)
-    owner = tuple(nodes[0] if len(nodes) == 1 else next(plain) for nodes in g.edges)
+    owners = iter(res.coloring.owner)
+    owner = tuple(nodes[0] if len(nodes) == 1 else next(owners) for nodes in g.edges)
     return SolveResult(res.value, PartialColoring(owner))
 
 
@@ -199,7 +202,7 @@ def simultaneous_optimum(g: Graph) -> tuple[Orientation, int, int]:
     the star witness already has small indegrees; otherwise the indegree
     witness is one off the star optimum and therefore star-optimal too.
     """
-    if any(g.capacities[v] < len(g.incidence[v]) for v in range(g.n)):
+    if capacities_bind(g):
         raise CapacitiesPresent("simultaneous optimum needs capacity-free input")
     star = minimum_star_coloring_flow(g)
     ind = _solve_ind(g, "flow")

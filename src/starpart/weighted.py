@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import Orientation, PartialColoring, node_loads, orientation_to_owner, pseudoforest_heads
-from .errors import NoOutgoingEdge, TooLarge, UnsupportedKind
-from .graph import Graph, GraphKind, build_graph, other_end
+from .errors import CapacitiesPresent, NoOutgoingEdge, TooLarge, UnsupportedKind
+from .graph import Graph, GraphKind, build_graph, capacities_bind
 from .lp import find_basic_feasible
 from .oracle import _bit_chunks, _two_endpoint_tables
 
@@ -27,27 +27,8 @@ def _check_pairs(g: Graph) -> None:
     # distinct in-neighbors mean distinct stars only on simple graphs
     if g.kind is not GraphKind.SIMPLE or any(len(nodes) != 2 for nodes in g.edges):
         raise UnsupportedKind("weighted objectives are defined on simple graphs")
-
-
-def weighted_indeg_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
-    """Weight sum of the nodes with an edge directed toward v."""
-    total = 0
-    for e in g.incidence[v]:
-        if orientation.head[e] == v:
-            total += weights[other_end(g.edges[e], v)]
-    return total
-
-
-def weighted_star_value(g: Graph, weights, orientation: Orientation, v: int) -> int:
-    """Weight sum of the stars containing v.
-
-    Every in-edge contributes its tail's star; v's own star counts once
-    iff v has an outgoing edge.
-    """
-    total = weighted_indeg_value(g, weights, orientation, v)
-    if any(orientation.head[e] != v for e in g.incidence[v]):
-        total += weights[v]
-    return total
+    if capacities_bind(g):
+        raise CapacitiesPresent("weighted objectives carry no node capacities")
 
 
 def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:

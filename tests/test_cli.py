@@ -485,3 +485,23 @@ def test_verify_ind_rejects_multigraph_like_solve(tmp_path, capsys):
     assert "the indegree objective needs a simple graph" in verify_err
     assert verify_err == solve_err
     assert main(["verify", str(inst), str(sol)]) == 0  # the star objective still verifies
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "INST", "--algo", "oracle"],
+    ["solve", "INST", "--algo", "oracle", "--objective", "ind"],
+    ["approx", "INST", "--objective", "wind"],
+    ["approx", "INST", "--objective", "wstar"],
+    ["reduce", "wind2wstar", "INST", "--k", "2"],
+])
+def test_weighted_commands_reject_binding_capacities(tmp_path, capsys, argv):
+    inst = tmp_path / "capped.graph"
+    inst.write_text(
+        "kind simple\nnode a cap=0 w=2\nnode b w=1\nnode c w=1\nedge a b\nedge b c\nedge a c\n"
+    )
+    argv = [str(inst) if a == "INST" else a for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weighted objectives carry no node capacities" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["capped.graph"]

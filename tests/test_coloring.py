@@ -10,10 +10,10 @@ from starpart import (
     Orientation,
     PartialColoring,
     build_graph,
-    color_count,
     extract_stars,
     is_valid,
     lower_demand,
+    node_loads,
     orientation_to_owner,
     owner_to_orientation,
     star_partition_value,
@@ -27,9 +27,10 @@ FIG1A = PartialColoring((0, 2, 2))
 
 
 def test_fig1a_color_counts(triangle):
-    assert color_count(triangle, FIG1A, 1) == 2
-    assert color_count(triangle, FIG1A, 0) == 2
-    assert color_count(triangle, FIG1A, 2) == 1
+    counts = node_loads(triangle, FIG1A.owner, "star")
+    assert counts[1] == 2
+    assert counts[0] == 2
+    assert counts[2] == 1
     assert star_partition_value(triangle, FIG1A) == 2
 
 
@@ -73,13 +74,13 @@ def test_roundtrip_exhaustive_small_graphs():
 def test_color_count_own_star_only():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     all_center = PartialColoring((0, 0, 0))
-    assert color_count(star, all_center, 0) == 1
+    assert node_loads(star, all_center.owner, "star")[0] == 1
 
 
 def test_color_count_center_owns_nothing():
     star = build_graph(6, [(0, i) for i in range(1, 6)])
     leaves = PartialColoring(tuple(range(1, 6)))
-    assert color_count(star, leaves, 0) == 5
+    assert node_loads(star, leaves.owner, "star")[0] == 5
 
 
 def test_star_value_path_middle():
@@ -179,14 +180,15 @@ def test_color_count_equals_indegree_plus_flag():
             indeg[h] += 1
             tail = g.edges[e][0] if g.edges[e][1] == h else g.edges[e][1]
             outdeg[tail] += 1
+        counts = node_loads(g, coloring.owner, "star")
         for v in range(n):
-            assert color_count(g, coloring, v) == indeg[v] + (1 if outdeg[v] else 0)
+            assert counts[v] == indeg[v] + (1 if outdeg[v] else 0)
 
 
 def test_incomplete_coloring_raises(triangle):
     partial = PartialColoring((0, None, 2))
     with pytest.raises(IncompleteColoring):
-        color_count(triangle, partial, 0)
+        is_valid(triangle, partial)
     with pytest.raises(IncompleteColoring):
         star_partition_value(triangle, partial)
     with pytest.raises(IncompleteColoring):

@@ -240,12 +240,11 @@ def test_counting_bound_proves_optimality_in_one_probe(monkeypatch):
     assert calls == [bound]
 
 
-def _hall_violation(g, x, hall, loop_counts, objective):
-    """need(S) - (|edges meeting S| + loops(S)), from the graph alone."""
-    loops = loop_counts or {}
+def _hall_violation(g, x, hall, objective):
+    """need(S) - |edges meeting S|, from the graph alone."""
     need = 0
     for v in hall:
-        deg = len(g.incidence[v]) + loops.get(v, 0)
+        deg = len(g.incidence[v])
         reach = min(g.capacities[v], x)
         if objective == "ind":
             need += max(0, deg - reach)
@@ -253,7 +252,7 @@ def _hall_violation(g, x, hall, loop_counts, objective):
             need += deg - reach + 1
     inside = set(hall)
     meeting = sum(1 for a, b in g.edges if a in inside or b in inside)
-    return need - meeting - sum(loops.get(v, 0) for v in hall)
+    return need - meeting
 
 
 def _ind_suite():
@@ -286,12 +285,13 @@ def test_failed_probes_leave_violated_hall_sets(monkeypatch):
 
     failures = []
     probe = flow_solver._test_x
+    looped = []  # the self-loop graph being solved, if any
 
     def recorded(*args):
         result = probe(*args)
         if result is None:
-            g, x, _, loop_counts, objective, hall = args
-            failures.append((g, x, list(hall), loop_counts, objective))
+            g, x, _, objective, hall = args
+            failures.append((g, x, list(hall), objective, looped[-1] if looped else None))
         return result
 
     monkeypatch.setattr(flow_solver, "_test_x", recorded)
@@ -300,13 +300,17 @@ def test_failed_probes_leave_violated_hall_sets(monkeypatch):
     rng = random.Random(71)
     for trial in range(150):
         g = _random_small_graph(rng, GraphKind.WITH_SELF_LOOPS, capped=trial % 2 == 1)
+        looped.append(g)
         preprocess_and_solve(g, "flow")
-    objectives = {objective for *_, objective in failures}
+    objectives = {objective for _, _, _, objective, _ in failures}
     assert objectives == {"ind", "star"}
-    assert any(loops for _, _, _, loops, _ in failures)
-    for g, x, hall, loops, objective in failures:
+    assert any(source is not None for *_, source in failures)
+    for g, x, hall, objective, source in failures:
         assert hall
-        assert _hall_violation(g, x, hall, loops, objective) > 0, (g.edges, x, hall)
+        if source is not None:
+            # the probe saw the pendant graph: one pendant per looped node
+            assert g.n == source.n + len({e[0] for e in source.edges if len(e) == 1})
+        assert _hall_violation(g, x, hall, objective) > 0, (g.edges, x, hall)
 
 
 def _nested_cliques():

@@ -19,26 +19,32 @@ from starpart import (
     generate,
     GeneratorSpec,
     lp_feasible,
+    node_loads,
+    orientation_to_owner,
     packing_to_orientation,
     approx2_wind,
     approx4_wstar,
     round_fractional,
-    weighted_indeg_value,
-    weighted_star_value,
 )
-from starpart.errors import NoOutgoingEdge, NotPseudoforest, TooLarge
+from starpart.errors import CapacitiesPresent, NoOutgoingEdge, NotPseudoforest, TooLarge
 from gadget_check import gadget_reduced_yes
 
 
+def weighted_loads(g, weights, orientation, objective):
+    """Every node's weighted value of an orientation; the tails own the edges."""
+    return node_loads(g, orientation_to_owner(g, orientation).owner, objective, weights)
+
+
 def reduced_star_value(g, orientation):
-    return max(weighted_star_value(g, g.weights, orientation, v) for v in range(g.n))
+    return max(weighted_loads(g, g.weights, orientation, "star"))
 
 
 def test_indeg_value_single_edge():
     g = build_graph(2, [(0, 1)], weights=[5, 1])
     toward_1 = Orientation((1,))
-    assert weighted_indeg_value(g, g.weights, toward_1, 1) == 5
-    assert weighted_indeg_value(g, g.weights, toward_1, 0) == 0
+    loads = weighted_loads(g, g.weights, toward_1, "ind")
+    assert loads[1] == 5
+    assert loads[0] == 0
 
 
 def test_indeg_value_equals_unweighted_for_unit_weights(fig2):
@@ -47,20 +53,21 @@ def test_indeg_value_equals_unweighted_for_unit_weights(fig2):
     indeg = [0] * fig2.n
     for h in orientation.head:
         indeg[h] += 1
+    loads = weighted_loads(fig2, fig2.weights, orientation, "ind")
     for v in range(fig2.n):
-        assert weighted_indeg_value(fig2, fig2.weights, orientation, v) == indeg[v]
+        assert loads[v] == indeg[v]
 
 
 def test_star_value_cases():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[2, 3, 5])
     cycle = Orientation((1, 2, 0))
-    values = [weighted_star_value(g, g.weights, cycle, v) for v in range(3)]
+    values = weighted_loads(g, g.weights, cycle, "star")
     assert values == [7, 5, 8]
     # a pure sink pays only foreign stars
     sink = Orientation((1, 1, 0))
-    assert weighted_star_value(g, g.weights, sink, 1) == weighted_indeg_value(
-        g, g.weights, sink, 1
-    )
+    assert weighted_loads(g, g.weights, sink, "star")[1] == weighted_loads(
+        g, g.weights, sink, "ind"
+    )[1]
 
 
 def test_brute_force_weighted_single_edge():
@@ -226,7 +233,7 @@ def test_packing_orientation_roundtrip():
             continue
         orientation = packing_to_orientation(bp, assignment)
         g, threshold = binpacking_to_wind(bp)
-        value = max(weighted_indeg_value(g, g.weights, orientation, v) for v in range(g.n))
+        value = max(weighted_loads(g, g.weights, orientation, "ind"))
         assert value <= threshold
         back = extract_packing(bp, orientation)
         back_loads = [0] * kbins
@@ -308,8 +315,9 @@ def test_rounding_respects_double_limit():
         if frac is None:
             continue
         rounded = round_fractional(frac)
+        loads = weighted_loads(g, w, rounded, "ind")
         for v in range(n):
-            assert weighted_indeg_value(g, w, rounded, v) <= 2 * limit
+            assert loads[v] <= 2 * limit
 
 
 def test_approx_triangle_equal_weights():
@@ -338,7 +346,7 @@ def test_approx_bounds_random():
         assert k_opt <= value <= 2 * k_opt
         assert x_opt <= star_value <= 4 * x_opt
         # the star value of any orientation is at most twice its indegree value
-        k_of = max(weighted_indeg_value(g, w, orientation, v) for v in range(n))
+        k_of = max(weighted_loads(g, w, orientation, "ind"))
         assert star_value <= 2 * max(k_of, value)
 
 
@@ -372,3 +380,25 @@ def test_approx_at_two_thousand_edges_keeps_exact_loads(monkeypatch):
     assert all(final.load(v) <= limit for v in range(g.n))
     assert value == max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind", w))
     assert value <= 2 * limit
+
+
+def test_weighted_paths_reject_binding_capacities():
+    # the weighted objectives carry no capacities; a binding one is refused
+    # instead of being ignored by a witness that then fails verification
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)], capacities=[0, 2, 2], weights=[2, 1, 1])
+    for call in (
+        lambda: brute_force_weighted(g, g.weights, "ind"),
+        lambda: brute_force_weighted(g, g.weights, "star"),
+        lambda: approx2_wind(g),
+        lambda: approx4_wstar(g),
+        lambda: lp_feasible(g, g.weights, 4),
+        lambda: gadget_transform(g, g.weights, 2),
+    ):
+        with pytest.raises(CapacitiesPresent):
+            call()
+    # capacities at or above every degree do not bind
+    loose = build_graph(3, g.edges, capacities=[2, 2, 5], weights=g.weights)
+    assert brute_force_weighted(loose, loose.weights, "ind")[0] == brute_force_weighted(
+        build_graph(3, g.edges, weights=g.weights), g.weights, "ind"
+    )[0]
+    assert approx2_wind(loose)[1] >= 1
