@@ -52,6 +52,7 @@ from .graph import (
 from .oracle import (
     GeneratorSpec,
     brute_force_kstar,
+    brute_force_weighted,
     brute_force_xstar,
     closed_form,
     generate,
@@ -73,7 +74,6 @@ from .weighted import (
     approx2_wind,
     approx4_wstar,
     binpacking_to_wind,
-    brute_force_weighted,
     extract_packing,
     gadget_orientation,
     gadget_transform,

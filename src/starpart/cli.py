@@ -32,11 +32,10 @@ from .instance_io import (
     parse_instance,
     parse_solution,
 )
-from .oracle import GeneratorSpec, generate
+from .oracle import _WEIGHTED_GUARD, GeneratorSpec, brute_force_weighted, generate
 from .reductions import PendantReduction, _require_ind_kind, ind_to_star, recover_ind_solution, solve
 from .weighted import (
     binpacking_to_wind,
-    brute_force_weighted,
     extract_packing,
     gadget_transform,
     approx2_wind,
@@ -345,7 +344,7 @@ def cmd_approx(args) -> int:
     print(f"value {value}")
     if args.out:
         _write(args.out, format_solution(inst, coloring, value))
-    if g.m <= 24:
+    if g.m <= _WEIGHTED_GUARD:
         optimum, _ = brute_force_weighted(g, g.weights, objective)
         print(f"optimum {optimum}")
         ratio = value / optimum if optimum else 1.0

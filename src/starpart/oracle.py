@@ -1,25 +1,35 @@
 """Ground-truth brute force, closed-form optima, and instance generators.
 
-The brute-force routines enumerate every complete coloring (equivalently,
-every orientation for two-endpoint graphs) with numpy, so they stay exact
-and usable up to the enumeration guard.  They are deliberately
-independent of the solvers: values come from evaluating the objective
-definition directly.
+The three brute-force oracles share one numpy enumerator, ``_least_owner``,
+that walks every owner tuple (one owner per edge) in mixed-radix counter
+order: edge 0 is the fastest digit and digit d of edge e makes
+``g.edges[e][d]`` its owner, so a pair's digit 1 is its higher endpoint
+and a self-loop has one digit.  Each tuple is scored from the objective
+definition, the distinct owners a node sees (star) or the owners of its
+in-edges (ind), each charged its weight, and the first tuple in counter
+order with the least max load that fits the capacities is the witness.
+Loads are float32 when the weights sum below 2**24 and float64 otherwise,
+so they are exact.  Guards: 22 edges for ``brute_force_xstar`` and
+``brute_force_kstar``, 2**24 owner tuples for hypergraphs, 24 edges for
+``brute_force_weighted``.  The oracles share no code with the solvers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import prod
 
 from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult, pseudoforest_heads
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, capacities_bind, max_degree, other_end
+from .weighted import _check_pairs
 
 _EDGE_GUARD = 22
 _ASSIGNMENT_GUARD = 1 << 24
-_CHUNK = 1 << 16
+_WEIGHTED_GUARD = 24
+_BLOCK = 1 << 16
 
 #: Fixed 7-node, 11-edge benchmark graph (optimum 3).
 FIG2_EDGES = ((0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 4), (4, 5))
@@ -28,53 +38,62 @@ FIG2_EDGES = ((0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 4), (1, 6), (2, 3), (2
 FIG6D_EDGES = ((0, 2), (2, 3), (0, 4), (2, 4), (3, 4), (2, 5), (2, 6), (5, 6), (0, 1), (1, 3))
 
 
-def _bit_chunks(m: int):
+def _least_owner(g: Graph, objective: str, weights=None, capacities=None):
+    """First owner tuple in counter order with the least max node load.
+
+    Digit d of edge e makes ``g.edges[e][d]`` its owner, and edge 0 is the
+    fastest digit.  A node's load is the weight sum of the distinct owners
+    it sees (star) or of the owners of its in-edges (ind); ``weights=None``
+    counts each owner 1.  Returns ``(value, owners)``, or None when no
+    tuple keeps every load within ``capacities``.
+    """
+    radices = [len(nodes) for nodes in g.edges]
+    total = prod(radices)
+    if total > _ASSIGNMENT_GUARD:
+        raise TooLarge(f"{total} owner assignments exceed the enumeration guard")
     import numpy as np
-    total = 1 << m
-    shifts = np.arange(m, dtype=np.uint32)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.uint32)
-        # bit j of the counter decides edge j: 0 = lower endpoint is the tail
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.float32)
-        yield lo, bits
+    w = [1] * g.n if weights is None else weights
+    dtype = np.float32 if sum(w) < 1 << 24 else np.float64
+    # Column c is one (edge, owner) choice.  A term (v, u) charges v the
+    # weight of u once any of its columns is set: for star, v sees owner u;
+    # for ind, v heads an edge that u owns, one term per such column.
+    star = objective == "star"
+    choices = [(nodes, u) for nodes in g.edges for u in nodes]
+    terms: dict[tuple[int, ...], int] = {}
+    cells = [(c, terms.setdefault((v, u) if star else (v, u, c), len(terms)))
+             for c, (nodes, u) in enumerate(choices) for v in nodes if star or v != u]
+    hit = np.zeros((len(choices), len(terms)), dtype=np.uint8)
+    hit[tuple(zip(*cells))] = 1
+    gain = np.zeros((g.n, len(terms)), dtype=dtype)
+    for (v, u, *_), t in terms.items():
+        gain[v, t] = w[u]
+    start = list(accumulate(radices, initial=0))
 
+    def stack(first: int, last: int):
+        # Hit counts of every digit tuple of edges first..last-1, counter order.
+        table = np.zeros((1, len(terms)), dtype=np.uint8)
+        for e in range(first, last):
+            table = (hit[start[e]:start[e + 1], None] + table).reshape(-1, len(terms))
+        return table
 
-def _two_endpoint_tables(g: Graph, choice: list[int]):
-    import numpy as np
-    # T0[j, v] = 1 if bit 0 of choice edge j sends an in-edge to v; T1 likewise.
-    n = g.n
-    t0 = np.zeros((len(choice), n), dtype=np.float32)
-    t1 = np.zeros((len(choice), n), dtype=np.float32)
-    for j, e in enumerate(choice):
-        lo, hi = g.edges[e]
-        t0[j, hi] = 1.0
-        t1[j, lo] = 1.0
-    return t0, t1
-
-
-def _scan_min(values, valid, offset, best):
-    import numpy as np
-    # Keep the first minimal index in counter order across chunks.
-    if not valid.any():
-        return best
-    masked = np.where(valid, values, np.inf)
-    pos = int(np.argmin(masked))
-    val = float(masked[pos])
-    if best is None or val < best[0]:
-        return (val, offset + pos)
-    return best
-
-
-def _decode_two_endpoint(g: Graph, choice: list[int], counter: int) -> list[int | None]:
-    owner: list[int | None] = [None] * g.m
-    for j, e in enumerate(choice):
-        lo, hi = g.edges[e]
-        owner[e] = hi if (counter >> j) & 1 else lo
-    for e, nodes in enumerate(g.edges):
-        if len(nodes) == 1:
-            owner[e] = nodes[0]
-    return owner
+    split = 0
+    while split < g.m and prod(radices[:split + 1]) <= _BLOCK:
+        split += 1
+    low = stack(0, split)  # one block of tuples; each row of stack(split, m) shifts it
+    caps = None if capacities is None else np.asarray(capacities, dtype=dtype)[:, None]
+    best = None
+    for b, row in enumerate(stack(split, g.m)):
+        loads = gain @ ((low + row) > 0).astype(dtype).T  # node x tuple
+        peak = loads.max(axis=0, initial=0)
+        if caps is not None:
+            peak[(loads > caps).any(axis=0)] = np.inf
+        i = int(np.argmin(peak))
+        if peak[i] < np.inf and (best is None or peak[i] < best[0]):
+            best = (peak[i], b * len(low) + i)
+    if best is None:
+        return None
+    digits = np.unravel_index(best[1], radices, order="F")  # edge 0 fastest
+    return int(best[0]), tuple(nodes[d] for nodes, d in zip(g.edges, digits))
 
 
 def brute_force_xstar(g: Graph) -> SolveResult:
@@ -85,108 +104,10 @@ def brute_force_xstar(g: Graph) -> SolveResult:
     """
     if g.m > _EDGE_GUARD:
         raise TooLarge(f"{g.m} edges exceed the enumeration guard {_EDGE_GUARD}")
-    if g.m == 0:
-        return SolveResult(0, PartialColoring(()))
-    if g.kind is GraphKind.LINEAR_HYPER:
-        return _xstar_general(g)
-    return _xstar_two_endpoint(g)
-
-
-def _xstar_two_endpoint(g: Graph) -> SolveResult:
-    import numpy as np
-    n = g.n
-    choice = [e for e, nodes in enumerate(g.edges) if len(nodes) == 2]
-    has_loop = np.zeros(n, dtype=bool)
-    for nodes in g.edges:
-        if len(nodes) == 1:
-            has_loop[nodes[0]] = True
-
-    deg2 = np.zeros(n, dtype=np.float32)
-    for e in choice:
-        for v in g.edges[e]:
-            deg2[v] += 1
-    caps = np.asarray(g.capacities, dtype=np.float32)
-
-    classes: list[tuple[int, int, list[int]]] = []
-    if g.kind is GraphKind.MULTI:
-        grouped: dict[tuple[int, int], list[int]] = {}
-        for j, e in enumerate(choice):
-            grouped.setdefault(g.edges[e], []).append(j)
-        classes = [(pair[0], pair[1], js) for pair, js in grouped.items()]
-
-    t0, t1 = _two_endpoint_tables(g, choice)
-    best = None
-    for offset, bits in _bit_chunks(len(choice)):
-        in_cnt = bits @ t1 + (1.0 - bits) @ t0
-        out_cnt = deg2 - in_cnt
-        if g.kind is GraphKind.MULTI:
-            xc = np.zeros_like(in_cnt)
-            for a, b, js in classes:
-                sub = bits[:, js]
-                xc[:, a] += sub.max(axis=1)        # some copy owned by b, seen at a
-                xc[:, b] += 1.0 - sub.min(axis=1)  # some copy owned by a, seen at b
-            xc += out_cnt > 0
-        else:
-            owns = out_cnt > 0
-            if has_loop.any():
-                owns = owns | has_loop
-            xc = in_cnt + owns
-        valid = (xc <= caps).all(axis=1)
-        best = _scan_min(xc.max(axis=1), valid, offset, best)
-    if best is None:
+    found = _least_owner(g, "star", capacities=g.capacities)
+    if found is None:
         return SolveResult(INFEASIBLE, None)
-    owner = _decode_two_endpoint(g, choice, best[1])
-    return SolveResult(int(best[0]), PartialColoring(tuple(owner)))
-
-
-def _xstar_general(g: Graph) -> SolveResult:
-    import numpy as np
-    radices = [len(nodes) for nodes in g.edges]
-    total = 1
-    for r in radices:
-        total *= r
-    if total > _ASSIGNMENT_GUARD:
-        raise TooLarge(f"{total} owner assignments exceed the enumeration guard")
-    strides = []
-    acc = 1
-    for r in radices:
-        strides.append(acc)
-        acc *= r
-    caps = np.asarray(g.capacities, dtype=np.int32)
-
-    # For each node v and potential owner u, the incident edges containing
-    # both; v sees color u iff some of them is owned by u.
-    indicators: list[tuple[int, list[tuple[int, int]]]] = []
-    for v in range(g.n):
-        owners: dict[int, list[tuple[int, int]]] = {}
-        for e in g.incidence[v]:
-            for pos, u in enumerate(g.edges[e]):
-                owners.setdefault(u, []).append((e, pos))
-        for u in sorted(owners):
-            indicators.append((v, owners[u]))
-
-    best = None
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, g.m), dtype=np.int8)
-        for e in range(g.m):
-            digits[:, e] = (idx // strides[e]) % radices[e]
-        xc = np.zeros((hi - lo, g.n), dtype=np.int32)
-        for v, hits in indicators:
-            ind = np.zeros(hi - lo, dtype=bool)
-            for e, pos in hits:
-                ind |= digits[:, e] == pos
-            xc[:, v] += ind
-        valid = (xc <= caps).all(axis=1)
-        best = _scan_min(xc.max(axis=1).astype(np.float32), valid, lo, best)
-    if best is None:
-        return SolveResult(INFEASIBLE, None)
-    counter = best[1]
-    owner = []
-    for e in range(g.m):
-        owner.append(g.edges[e][(counter // strides[e]) % radices[e]])
-    return SolveResult(int(best[0]), PartialColoring(tuple(owner)))
+    return SolveResult(found[0], PartialColoring(found[1]))
 
 
 def brute_force_kstar(g: Graph) -> tuple[int | float, Orientation | None]:
@@ -195,23 +116,25 @@ def brute_force_kstar(g: Graph) -> tuple[int | float, Orientation | None]:
         raise TooLarge(f"{g.m} edges exceed the enumeration guard {_EDGE_GUARD}")
     if any(len(nodes) != 2 for nodes in g.edges):
         raise UnsupportedKind("orientations need two-endpoint edges")
-    if g.m == 0:
-        return 0, Orientation(())
-    import numpy as np
-    caps = np.asarray(g.capacities, dtype=np.float32)
-    t0, t1 = _two_endpoint_tables(g, list(range(g.m)))
-    best = None
-    for offset, bits in _bit_chunks(g.m):
-        in_cnt = bits @ t1 + (1.0 - bits) @ t0
-        valid = (in_cnt <= caps).all(axis=1)
-        best = _scan_min(in_cnt.max(axis=1), valid, offset, best)
-    if best is None:
+    found = _least_owner(g, "ind", capacities=g.capacities)
+    if found is None:
         return INFEASIBLE, None
-    counter = best[1]
-    heads = []
-    for e, (lo, hi) in enumerate(g.edges):
-        heads.append(lo if (counter >> e) & 1 else hi)
-    return int(best[0]), Orientation(tuple(heads))
+    return found[0], Orientation(tuple(map(other_end, g.edges, found[1])))
+
+
+def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:
+    """Exact minimum of the chosen objective over all orientations.
+
+    ``objective`` is "ind" or "star".  The weighted problems carry no
+    capacities, so every orientation is admissible.
+    """
+    _check_pairs(g)
+    if objective not in ("ind", "star"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if g.m > _WEIGHTED_GUARD:
+        raise TooLarge(f"{g.m} edges exceed the enumeration guard {_WEIGHTED_GUARD}")
+    value, owners = _least_owner(g, objective, weights)
+    return value, Orientation(tuple(map(other_end, g.edges, owners)))
 
 
 def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:

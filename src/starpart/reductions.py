@@ -29,8 +29,7 @@ from .dfs_solver import minimum_star_coloring
 from .errors import CapacitiesPresent, InvalidColoring, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow, solve_flow_seeded
 from .graph import Graph, GraphKind, build_graph, capacities_bind, extract_self_loops, merge_parallel_edges
-from .oracle import brute_force_kstar, brute_force_xstar
-from .weighted import brute_force_weighted
+from .oracle import brute_force_kstar, brute_force_weighted, brute_force_xstar
 
 #: An indegree instance is just a capacitated graph.
 IndInstance = Graph

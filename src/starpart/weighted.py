@@ -3,10 +3,10 @@
 With node weights the indegree objective charges each node the weight sum
 of its in-neighbors, and the star objective additionally charges a node
 its own weight once it colors any edge.  Both decision problems are hard,
-so this module provides exact brute force at desk scale, the two
-hardness reductions (weighted indegree -> weighted star via a forcing
-gadget, bin packing -> weighted indegree via a complete bipartite graph),
-and LP-rounding approximations with factors 2 and 4.
+so this module provides the two hardness reductions (weighted indegree
+-> weighted star via a forcing gadget, bin packing -> weighted indegree
+via a complete bipartite graph) and LP-rounding approximations with
+factors 2 and 4; the exact brute force is ``oracle.brute_force_weighted``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import Orientation, PartialColoring, node_loads, orientation_to_owner, pseudoforest_heads
-from .errors import CapacitiesPresent, NoOutgoingEdge, TooLarge, UnsupportedKind
+from .errors import CapacitiesPresent, NoOutgoingEdge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, capacities_bind
 from .lp import find_basic_feasible
-from .oracle import _bit_chunks, _two_endpoint_tables
-
-_WEIGHTED_GUARD = 24
 
 
 def _check_pairs(g: Graph) -> None:
@@ -29,47 +26,6 @@ def _check_pairs(g: Graph) -> None:
         raise UnsupportedKind("weighted objectives are defined on simple graphs")
     if capacities_bind(g):
         raise CapacitiesPresent("weighted objectives carry no node capacities")
-
-
-def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:
-    """Exact minimum of the chosen objective over all orientations.
-
-    ``objective`` is "ind" or "star".  The weighted problems carry no
-    capacities, so every orientation is admissible.
-    """
-    _check_pairs(g)
-    if objective not in ("ind", "star"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if g.m > _WEIGHTED_GUARD:
-        raise TooLarge(f"{g.m} edges exceed the enumeration guard {_WEIGHTED_GUARD}")
-    if g.m == 0:
-        return 0, Orientation(())
-    import numpy as np
-    n, m = g.n, g.m
-    w = np.asarray(weights, dtype=np.float64)
-    t0c, t1c = _two_endpoint_tables(g, list(range(m)))
-    t0w = np.zeros((m, n))
-    t1w = np.zeros((m, n))
-    for e, (lo, hi) in enumerate(g.edges):
-        t0w[e, hi] = w[lo]  # bit 0: tail lo, head hi
-        t1w[e, lo] = w[hi]
-    deg = np.asarray([len(inc) for inc in g.incidence], dtype=np.float64)
-
-    best_val, best_idx = None, None
-    for lo_i, bits in _bit_chunks(m):
-        in_w = bits @ t1w + (1.0 - bits) @ t0w
-        if objective == "star":
-            in_c = bits @ t1c + (1.0 - bits) @ t0c
-            in_w = in_w + w * ((deg - in_c) > 0)
-        values = in_w.max(axis=1)
-        pos = int(np.argmin(values))
-        val = float(values[pos])
-        if best_val is None or val < best_val:
-            best_val, best_idx = val, lo_i + pos
-    heads = []
-    for e, (lo, hi) in enumerate(g.edges):
-        heads.append(lo if (best_idx >> e) & 1 else hi)
-    return int(best_val), Orientation(tuple(heads))
 
 
 # --- gadget reduction: weighted indegree -> weighted star ------------------

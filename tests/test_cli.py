@@ -253,6 +253,17 @@ def test_approx_command(tmp_path, capsys):
     assert int(lines["value"]) <= 4 * int(lines["optimum"])
 
 
+def test_approx_skips_optimum_past_the_weighted_guard(tmp_path, capsys):
+    g = generate(GeneratorSpec("random", n=10, m=25, seed=3))
+    lines = [f"node v{v} w={1 + v % 3}" for v in range(g.n)]
+    lines += [f"edge v{a} v{b}" for a, b in g.edges]
+    inst = tmp_path / "m25.graph"
+    inst.write_text("kind simple\n" + "\n".join(lines) + "\n")
+    assert main(["approx", str(inst), "--objective", "wind"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["value"]
+
+
 def test_gen_roundtrip_and_env_seed(tmp_path, capsys, monkeypatch):
     out = tmp_path / "g.graph"
     assert main(["gen", "--family", "knn", "--n", "5", "--out", str(out)]) == 0

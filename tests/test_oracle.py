@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -8,17 +9,20 @@ from starpart import (
     GeneratorSpec,
     GraphKind,
     INFEASIBLE,
+    Orientation,
     brute_force_kstar,
+    brute_force_weighted,
     brute_force_xstar,
     build_graph,
     closed_form,
     generate,
     is_valid,
     max_edge_size,
+    node_loads,
     star_partition_value,
 )
 from starpart.errors import Disconnected, InvalidSpec, TooLarge, UnsupportedKind
-from starpart.graph import Graph
+from starpart.graph import Graph, capacities_bind, other_end
 from conftest import connected_edge_sets
 
 
@@ -44,6 +48,81 @@ def test_brute_force_guard():
         brute_force_xstar(path)
     with pytest.raises(TooLarge):
         brute_force_kstar(path)
+
+
+def test_brute_force_hypergraph_tuple_guard(monkeypatch):
+    g = generate(GeneratorSpec("hyper", n=33, m=16, max_edge_size=3, seed=1))
+    assert [len(nodes) for nodes in g.edges] == [3] * 16  # 3**16 owner tuples
+    monkeypatch.setitem(sys.modules, "numpy", None)  # enumerating would import numpy
+    with pytest.raises(TooLarge, match="43046721 owner assignments"):
+        brute_force_xstar(g)
+
+
+def _first_least(g, objective, weights=None, capacities=None):
+    # The definitions, enumerated in counter order: edge 0 is the fastest
+    # digit and digit d makes g.edges[e][d] the owner.
+    best = None
+    for digits in itertools.product(*(range(len(nodes)) for nodes in reversed(g.edges))):
+        owners = tuple(nodes[d] for nodes, d in zip(g.edges, reversed(digits)))
+        loads = node_loads(g, owners, objective, weights)
+        if capacities is not None and any(x > c for x, c in zip(loads, capacities)):
+            continue
+        value = max(loads, default=0)
+        if best is None or value < best[0]:
+            best = (value, owners)
+    return best
+
+
+def _small_graph(rng, kind):
+    n = rng.randint(2, 6)
+    while kind is GraphKind.LINEAR_HYPER:
+        try:
+            return generate(GeneratorSpec("hyper", n=n + 1, m=rng.randint(1, 5), max_edge_size=3,
+                                          seed=rng.randrange(10**6), cap_rule=rng.choice([None, "random"])))
+        except InvalidSpec:
+            continue
+    edges = [(rng.randrange(i), i) for i in range(1, n)]  # a spanning tree
+    for _ in range(rng.randint(0, 7 - len(edges))):
+        a, b = sorted(rng.sample(range(n), 2))
+        if kind is GraphKind.WITH_SELF_LOOPS:
+            edges.append((a, a))  # repeated loops included
+        elif kind is GraphKind.MULTI or (a, b) not in edges:
+            edges.append((a, b))
+    g = build_graph(n, edges, kind)
+    if rng.random() < 0.5:
+        g = build_graph(n, edges, kind, capacities=[rng.randint(0, len(inc)) for inc in g.incidence])
+    return g
+
+
+def test_oracles_match_the_definitions_in_counter_order():
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(160):
+        kind = list(GraphKind)[trial % 4]
+        g = _small_graph(rng, kind)
+        assert g.m <= 7
+        capped = capacities_bind(g)
+        seen.add((kind, capped))
+        expected = _first_least(g, "star", capacities=g.capacities)
+        res = brute_force_xstar(g)
+        if expected is None:
+            assert res.value == INFEASIBLE and res.coloring is None
+        else:
+            assert (res.value, res.coloring.owner) == expected
+        if kind in (GraphKind.SIMPLE, GraphKind.MULTI):
+            expected = _first_least(g, "ind", capacities=g.capacities)
+            value, orientation = brute_force_kstar(g)
+            if expected is None:
+                assert value == INFEASIBLE and orientation is None
+            else:
+                assert (value, orientation.head) == (expected[0], tuple(map(other_end, g.edges, expected[1])))
+        if kind is GraphKind.SIMPLE and not capped:
+            for weights in ([1] * g.n, [rng.randint(0, 9) for _ in range(g.n)]):
+                for objective in ("ind", "star"):
+                    value, owners = _first_least(g, objective, weights)
+                    heads = tuple(map(other_end, g.edges, owners))
+                    assert brute_force_weighted(g, weights, objective) == (value, Orientation(heads))
+    assert len(seen) == 8  # every kind, with and without binding capacities
 
 
 def test_brute_force_hypergraph_witnesses():
