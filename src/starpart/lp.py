@@ -1,104 +1,114 @@
-"""Exact vertices of {0 <= x <= 1, A x <= b}, each column in at most two rows.
+"""Exact points of {0 <= x <= 1, A x <= b} when A is a network matrix.
 
-Such a column is an edge between its rows, so the open columns of a vertex
-(those strictly inside their bounds) form a pseudoforest, which is what the
-rounding step downstream relies on.  HiGHS's dual simplex
-(``scipy.optimize.linprog``, imported on first use) finds a vertex in
-floating point, which is then read
-off exactly over ``fractions.Fraction`` and checked against every row and
-bound, so callers get an exact vertex or an ``ArithmeticError``.
+A column with entries c and -c is an arc of capacity |c| carrying y = |c| x
+from its + row to its - row (a one-entry column's other end is the source).
+Row r bounds r's net outflow by b_r, so by Gale's supply-demand theorem the
+region is non-empty exactly when a max flow fills each demand -b_r > 0 from
+the source and the supplies b_r > 0; the flow is integral, so x = y / |c| is
+exact.  It is Dinic's on Python ints: scipy's ``maximum_flow`` takes int32
+capacities only, and returned flow 0, with no error, on two arcs of 3 * 10^9.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_TOL = 1e-9  # bound snapping, and tight rows' relative slack
-
 
 def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Fraction] | None:
-    """Return an exact vertex as a dense list, or None if the LP is infeasible.
+    """Return an exact point with forest support as a dense list, or None if infeasible.
 
-    ``cols[j]`` maps each of column j's at most two rows to its integer
-    coefficient.  Raises ``ArithmeticError`` when HiGHS fails or gives a
-    point whose exact vertex fails a row or a bound.
+    ``cols[j]`` maps column j's rows to its coefficients: one nonzero int,
+    or c and -c; any other column raises ``ValueError``.
     """
-    if not cols:  # the empty point is the only candidate
-        return None if any(b < 0 for b in rhs) else []
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
-
-    cells = [(c, r, j) for j, col in enumerate(cols) for r, c in col.items()]
-    data, rows, columns = zip(*cells) if cells else ((), (), ())
-    a_ub = csc_array((data, (rows, columns)), shape=(len(rhs), len(cols)), dtype=float)
-    res = linprog([0.0] * len(cols), A_ub=a_ub, b_ub=rhs, bounds=(0, 1), method="highs-ds")
-    if res.status == 2:
+    s, t = len(rhs), len(rhs) + 1
+    ends, caps = [], []
+    for col in cols:
+        (r, c), *rest = col.items() or [(None, 0)]
+        if c == 0 or len(rest) > 1 or rest and rest[0][1] != -c:
+            raise ValueError(f"not a network column: {col}")
+        other = rest[0][0] if rest else s
+        ends.append((r, other) if c > 0 else (other, r))
+        caps.append(abs(c))
+    supply = [((s, r), b) for r, b in enumerate(rhs) if b > 0]
+    demand = [((r, t), -b) for r, b in enumerate(rhs) if b < 0]
+    flow = _max_flow(t + 1, list(zip(ends, caps)) + supply + demand, s, t)
+    if any(f < c for f, (_, c) in zip(flow[len(flow) - len(demand):], demand)):
         return None
-    if res.status != 0:
-        raise ArithmeticError(f"HiGHS failed: {res.message}")
-    return _exact_vertex(cols, rhs, res.x, res.slack)
+    flow = flow[:len(cols)]
+    # A walk over the open arcs (0 < flow < cap) that never turns straight back
+    # meets its own path, and pivots round that cycle, or comes to a node whose
+    # only live arc is the one it came by, which then lies on no cycle.
+    live = [{} for _ in range(s + 1)]  # each node's open arcs that may lie on a cycle
+    for j, (a, b) in enumerate(ends):
+        if 0 < flow[j] < caps[j]:
+            live[a][j] = live[b][j] = None
+    for start in range(s + 1):
+        nodes, path, pos = [start], [], {start: 0}
+        while nodes:
+            j = next((k for k in live[nodes[-1]] if not path or k != path[-1]), None)
+            if j is None:
+                del pos[nodes.pop()]
+                for v in ends[path[-1]] if path else ():
+                    del live[v][path[-1]]
+                del path[-1:]
+            elif (w := sum(ends[j]) - nodes[-1]) not in pos:
+                pos[w] = len(nodes)
+                nodes.append(w)
+                path.append(j)
+            else:  # walk on from w after the pivot
+                _pivot(ends, caps, flow, live, nodes[pos[w]:], path[pos[w]:] + [j])
+                for v in nodes[pos[w] + 1:]:
+                    del pos[v]
+                del nodes[pos[w] + 1:], path[pos[w]:]
+    return [Fraction(y, c) for y, c in zip(flow, caps)]
 
 
-def _exact_vertex(cols, rhs, x_float, slack_float) -> list[Fraction]:
-    point: list[Fraction | None] = [None] * len(cols)
-    residual = list(rhs)  # rhs minus the fixed columns' activity
-    open_cols: list[set[int]] = [set() for _ in rhs]
-    tight = [abs(s) <= _TOL * (1 + abs(b)) for s, b in zip(slack_float, rhs)]
-    for j, v in enumerate(x_float):
-        if v <= _TOL or v >= 1 - _TOL:
-            _fix(point, cols, residual, open_cols, j, round(v))
-        else:
-            for r in cols[j]:
-                open_cols[r].add(j)
-    ready = [r for r, cs in enumerate(open_cols) if len(cs) == 1]
-    for j in range(len(cols) + 1):  # peel, then close the cycle through j if j is open
-        while ready:
-            r = ready.pop()
-            if tight[r] and len(open_cols[r]) == 1:
-                ready += _pivot(point, cols, residual, open_cols, r)
-        if j < len(cols) and point[j] is None:
-            value = _close_cycle(cols, residual, open_cols, tight, j)
-            ready = _fix(point, cols, residual, open_cols, j, value)
-    slack = list(rhs)  # the safety check, independent of the residuals
-    for col, v in zip(cols, point):
-        if v:
-            for r, c in col.items():
-                slack[r] -= c * v
-    if any(not 0 <= v <= 1 for v in point) or any(s < 0 for s in slack):
-        raise ArithmeticError("the exact point read off HiGHS's vertex fails a row or a bound")
-    return point
+def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
+    """Dinic's max flow over ((tail, head), capacity) arcs; returns each arc's flow."""
+    head, res, adj = [], [], [[] for _ in range(n)]
+    for (u, v), c in arcs:  # arc i's residual is res[2i], its flow res[2i + 1]
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        res += (c, 0)
+    while True:
+        level, queue = [-1] * n, [s]
+        level[s] = 0
+        for u in queue:
+            for i in adj[u] if u != t else ():  # nodes past t's level lead nowhere
+                if res[i] and level[head[i]] < 0:
+                    level[head[i]] = level[u] + 1
+                    queue.append(head[i])
+        if level[t] < 0:
+            return res[1::2]
+        ptr, path, u = [0] * n, [], s
+        while True:
+            if u == t:  # augment, then retreat to the tail of the first saturated arc
+                push = min(res[i] for i in path)
+                for i in path:
+                    res[i] -= push
+                    res[i ^ 1] += push
+                del path[next(k for k, i in enumerate(path) if not res[i]):]
+            else:
+                out, k = adj[u], ptr[u]
+                while k < len(out) and not (res[out[k]] and level[head[out[k]]] == level[u] + 1):
+                    k += 1
+                ptr[u] = k
+                if k < len(out):
+                    path.append(out[k])
+                elif not path:
+                    break
+                else:  # dead end: skip the arc that led here
+                    ptr[head[path.pop() ^ 1]] += 1
+            u = head[path[-1]] if path else s
 
 
-def _fix(point, cols, residual, open_cols, j, value) -> list[int]:
-    """Set column j to value; return its rows that now have one open column."""
-    point[j] = Fraction(value)
-    for r, c in cols[j].items():
-        residual[r] -= c * value
-        open_cols[r].discard(j)
-    return [r for r in cols[j] if len(open_cols[r]) == 1]
-
-
-def _pivot(point, cols, residual, open_cols, r) -> list[int]:
-    """One-row elimination: tight row r fixes its last open column."""
-    (j,) = open_cols[r]
-    return _fix(point, cols, residual, open_cols, j, Fraction(residual[r], cols[j][r]))
-
-
-def _close_cycle(cols, residual, open_cols, tight, j) -> Fraction:
-    """Column j's value on the cycle of tight rows through it.
-
-    Walks the cycle once from x_j = t, writing each next open column as
-    a + b*t, and closes it at t = a + b*t; a singular cycle raises
-    ``ZeroDivisionError``.  Anything but a cycle of tight rows with two open
-    columns each means the point is not a vertex.
-    """
-    a, b, k, r = Fraction(0), Fraction(1), j, next(iter(cols[j]), None)
-    for _ in cols:
-        if r is None or not tight[r] or len(open_cols[r]) != 2:
-            break
-        (nxt,) = open_cols[r] - {k}
-        a, b = (residual[r] - cols[k][r] * a) / cols[nxt][r], -cols[k][r] * b / cols[nxt][r]
-        if nxt == j:
-            return a / (1 - b)
-        k, r = nxt, next((o for o in cols[nxt] if o != r), None)
-    raise ArithmeticError("HiGHS's point is not a vertex: an open column is on no tight cycle")
+def _pivot(ends, caps, flow, live, nodes, cycle) -> None:
+    """Push flow round the cycle from ``nodes[i]`` along ``cycle[i]`` until arcs close; they leave ``live``."""
+    along = [ends[j][0] == v for v, j in zip(nodes, cycle)]
+    push = min(caps[j] - flow[j] if fwd else flow[j] for j, fwd in zip(cycle, along))
+    for j, fwd in zip(cycle, along):
+        flow[j] += push if fwd else -push
+        if flow[j] in (0, caps[j]):
+            for v in ends[j]:
+                del live[v][j]

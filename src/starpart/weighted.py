@@ -210,35 +210,36 @@ def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
     forbidden outright when its cost alone exceeds the limit, and every
     node's load stays within the limit.  A free edge (lo, hi) is one LP
     column, its share x at lo: lo's row carries w[hi] x and hi's row
-    w[lo] (1 - x).  The returned point is an exact vertex, so its strictly
-    fractional edges form a pseudoforest.
+    w[lo] (1 - x).  Scaling node r's row by w[r] turns that column into
+    {lo: W, hi: -W} with W = w[lo] w[hi], so the LP is a max flow in which
+    the edge carries y = W x from lo to hi (``lp.find_basic_feasible``).
+    The share at lo is the exact y / W, and the strictly fractional edges
+    form a forest.  Weights must be positive.
     """
     _check_pairs(g)
     weights = tuple(int(x) for x in weights)
-    slack = [limit] * g.n  # what each node's free shares may still add
-    free = []
+    if min(weights, default=1) < 1:
+        raise ValueError("the load LP needs positive weights")
+    room = [w * limit for w in weights]  # each node's scaled room for the edges it must take
+    cols, free, carried = [], [], [0] * g.n
     for e, (lo, hi) in enumerate(g.edges):
         ok_lo, ok_hi = weights[hi] <= limit, weights[lo] <= limit  # cost of assigning to lo / hi
+        both = weights[lo] * weights[hi]
         if ok_lo and ok_hi:
             free.append(e)
-        elif ok_lo:
-            slack[lo] -= weights[hi]
-        elif ok_hi:
-            slack[hi] -= weights[lo]
+            cols.append({lo: both, hi: -both})
+            carried[hi] += both  # hi's scaled row carries W (1 - x)
+        elif ok_lo or ok_hi:
+            room[lo if ok_lo else hi] -= both
         else:
             return None
-    if any(s < 0 for s in slack):  # forced costs alone exceed the limit
+    if any(b < 0 for b in room):  # forced costs alone exceed the limit
         return None
-    cols = []
-    for e in free:
-        lo, hi = g.edges[e]
-        cols.append({lo: weights[hi], hi: -weights[lo]})
-        slack[hi] -= weights[lo]  # the rows' right-hand sides: hi carries w[lo] (1 - x)
-    shares = find_basic_feasible(cols, slack)
+    shares = find_basic_feasible(cols, [b - c for b, c in zip(room, carried)])
     if shares is None:
         return None
-    fractions = [(Fraction(1), Fraction(0)) if weights[hi] <= limit else (Fraction(0), Fraction(1))
-                 for lo, hi in g.edges]
+    to_lo, to_hi = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    fractions = [to_lo if weights[hi] <= limit else to_hi for lo, hi in g.edges]
     for e, x in zip(free, shares):
         fractions[e] = (x, 1 - x)
     return FractionalOrientation(g, weights, limit, tuple(fractions))

@@ -426,6 +426,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_approx_leaves_numpy_and_scipy_unloaded(tmp_path):
+    # 25 edges, past the weighted guard, so the numpy oracle stays out
+    g = generate(GeneratorSpec("random", n=10, m=25, seed=3))
+    lines = [f"node v{v} w={1 + v % 3}" for v in range(g.n)]
+    lines += [f"edge v{a} v{b}" for a, b in g.edges]
+    inst = tmp_path / "m25.graph"
+    inst.write_text("kind simple\n" + "\n".join(lines) + "\n")
+    code = (
+        "import sys, starpart.cli\n"
+        "for objective in ('wind', 'wstar'):\n"
+        "    rc = starpart.cli.main(['approx', sys.argv[1], '--objective', objective])\n"
+        "    print(rc, 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(inst)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if not line.startswith("value")] == ["0 False False"] * 2
+
+
 def test_import_and_verify_leave_numpy_unloaded(tmp_path):
     inst = tmp_path / "path.graph"
     inst.write_text("kind simple\nnode a\nnode b\nnode c\nedge a b\nedge b c\n")

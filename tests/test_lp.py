@@ -1,11 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from starpart import brute_force_weighted, build_graph, generate, GeneratorSpec, lp_feasible
+from starpart import lp
 from starpart.lp import find_basic_feasible
 
 F = Fraction
@@ -29,12 +29,6 @@ def test_negative_rhs_inequality():
     assert find_basic_feasible([{0: -1}], [-1]) == [F(1)]
 
 
-# x0 + x2 <= 1, x0 + x1 <= 1, 3 x1 + 6 x2 + 3 x3 <= 4, 3 x3 <= 1: a cycle of the
-# first three rows through x0, x1, x2 and a pendant row fixing x3 at 1/3
-CYCLE_COLS = [{0: 1, 1: 1}, {1: 1, 2: 3}, {2: 6, 0: 1}, {2: 3, 3: 3}]
-CYCLE_RHS = [1, 1, 4, 1]
-
-
 def _stub_linprog(monkeypatch, *results):
     """Replace linprog by a stub answering one result per call; returns the methods asked."""
     import scipy.optimize
@@ -49,12 +43,19 @@ def _stub_linprog(monkeypatch, *results):
     return methods
 
 
-def test_mixed_system(monkeypatch):
-    # HiGHS's float vertex of the cycle: peeling fixes x3, walking the cycle the rest
-    vertex = SimpleNamespace(status=0, x=[2 / 3, 1 / 3, 1 / 3, 1 / 3], slack=[0.0, 1e-17, 0.0, 0.0])
-    methods = _stub_linprog(monkeypatch, vertex)
-    assert find_basic_feasible(CYCLE_COLS, CYCLE_RHS) == [F(2, 3), F(1, 3), F(1, 3), F(1, 3)]
-    assert methods == ["highs-ds"]
+def test_flow_cycle_is_pivoted_to_a_forest(monkeypatch):
+    # rows 2 and 3 supply 2 and 3, rows 0 and 1 demand 3 and 1 (column {3: 3, 0: -3}
+    # is an arc 3 -> 0 of capacity 3); the max flow sends 1 along 3 -> 0, 2 along
+    # 2 -> 0 and 1 along 3 -> 2, open columns on the cycle 0-3-2, and one push of 1
+    # round it closes 3 -> 0 and 3 -> 2
+    cycles = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: cycles.append(args[-1]) or pivot(*args))
+    cols = [{3: 3, 0: -3}, {2: 4, 0: -4}, {3: 2, 2: -2}, {2: 1, 1: -1}]
+    point = find_basic_feasible(cols, [-3, -1, 2, 3])
+    assert point == [F(0), F(3, 4), F(1), F(1)]
+    assert cycles == [[0, 2, 1]]
+    assert [j for j, x in enumerate(point) if 0 < x < 1] == [1]
 
 
 def test_no_rows_returns_origin():
@@ -205,10 +206,76 @@ def test_exact_vertex_on_heavy_weights():
             assert least <= brute_force_weighted(g, w, "ind")[0]
 
 
-def test_non_basic_point_is_refused(monkeypatch):
-    # x0 + x1 <= 1 and -x0 - x1 <= -1: the midpoint is feasible, but not a vertex
-    midpoint = SimpleNamespace(status=0, x=[0.5, 0.5], slack=[0.0, 0.0], message="")
-    methods = _stub_linprog(monkeypatch, midpoint)
-    with pytest.raises(ArithmeticError):
-        find_basic_feasible([{0: 1, 1: -1}, {0: 1, 1: -1}], [1, -1])
-    assert methods == ["highs-ds"]
+def test_identical_columns_give_a_vertex():
+    # x0 + x1 = 1: the midpoint is feasible, but not a vertex
+    assert find_basic_feasible([{0: 1, 1: -1}, {0: 1, 1: -1}], [1, -1]) in ([F(1), F(0)], [F(0), F(1)])
+
+
+@pytest.mark.parametrize("col", [{0: 1, 1: 1}, {0: 2, 1: -1}, {0: 1, 1: -1, 2: 1}, {0: 0}, {}])
+def test_non_network_column_is_refused(col):
+    with pytest.raises(ValueError):
+        find_basic_feasible([col], [1, 1, 1])
+
+
+def test_non_positive_weights_are_refused():
+    # scaling a row by a zero weight would drop that node's load limit
+    g = build_graph(3, [(0, 1), (1, 2)], weights=[1, 1, 1])
+    with pytest.raises(ValueError):
+        lp_feasible(g, (1, 0, 1), 5)
+
+
+def _highs_feasible(g, w, limit):
+    """The unscaled load LP at limit by HiGHS's dual simplex, x_e being edge e's share at lo."""
+    from scipy.optimize import linprog
+
+    rows, rhs, bounds = [[0] * g.m for _ in range(g.n)], [limit] * g.n, []
+    for e, (lo, hi) in enumerate(g.edges):
+        rows[lo][e] += w[hi]
+        rows[hi][e] -= w[lo]
+        rhs[hi] -= w[lo]
+        bounds.append((1 if w[lo] > limit else 0, 0 if w[hi] > limit else 1))
+    if any(a > b for a, b in bounds):
+        return False
+    res = linprog([0] * g.m, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs-ds")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@pytest.mark.parametrize("wmax", [2, 9, 1000, 10**6])
+def test_least_limit_matches_highs(wmax):
+    rng = random.Random(wmax)
+    for trial in range(130):
+        n = rng.randint(2, 20)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+        g0 = generate(GeneratorSpec("random", n=n, m=m, seed=500 + trial))
+        w = [rng.randint(1, wmax) for _ in range(n)]
+        g = build_graph(n, g0.edges, weights=w)
+
+        def feasible(limit):
+            frac = lp_feasible(g, w, limit)
+            if frac is None:
+                return False
+            assert all(type(f) is Fraction and f >= 0 for pair in frac.fractions for f in pair)
+            assert all(f_lo + f_hi == 1 for f_lo, f_hi in frac.fractions)
+            assert all(frac.load(v) <= limit for v in range(n))
+            parent = list(range(n))  # the open edges form a forest
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for e, (a, b) in enumerate(g.edges):
+                if 0 < frac.fractions[e][0] < 1:
+                    assert find(a) != find(b)
+                    parent[find(a)] = find(b)
+            return True
+
+        lo, hi = max(min(w[a], w[b]) for a, b in g.edges), sum(w)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
+        # both LPs grow with the limit, so they agree on the least one
+        assert feasible(lo) and _highs_feasible(g, w, lo) and not _highs_feasible(g, w, lo - 1)
+        if m <= 12:
+            assert lo <= brute_force_weighted(g, w, "ind")[0]
