@@ -7,7 +7,9 @@ graph edge (in its current direction), source arcs into surplus nodes and
 sink arcs out of deficient nodes decides in one max-flow computation
 whether the deficits can all be repaired simultaneously.  Reversing the
 graph edges that carry flow yields an orientation whose induced coloring
-meets the target.
+meets the target.  The max flow is ``lp._max_flow``, the Dinic kernel the
+weighted LP runs on too; on these unit-capacity networks it takes
+O(|E| · min{|V|^(2/3), |E|^(1/2)}) (Even–Tarjan 1975).
 
 The same network decides min-max indegree with the demand deg - min(cap, k)
 (Hakimi 1965).  A failed probe leaves a Hall set S, the nodes the residual
@@ -33,6 +35,7 @@ from .coloring import (
 )
 from .errors import UnsupportedKind
 from .graph import Graph, GraphKind, other_end
+from .lp import _max_flow
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,14 @@ class IntegralFlow:
     source_flow: tuple[int, ...]
     sink_flow: tuple[int, ...]
     value: int
+    unreached: tuple[int, ...]
+    """Graph nodes the source does not reach in the residual network: a minimum cut.
+
+    Residual graph arcs run tail to head in the repaired orientation, so
+    every edge meeting this set S is owned inside S; no node of S keeps a
+    surplus, and when the flow falls short an unsaturated sink lies in S, so
+    S's demand exceeds its edges: a violated Hall set.
+    """
 
 
 def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
@@ -102,42 +113,21 @@ def _network_from_slacks(g: Graph, head: tuple[int, ...], slacks: list[int]) -> 
 
 
 def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
-    """Maximum integral s-t flow, computed by scipy's Dinic on a CSR copy.
+    """Maximum integral s-t flow from the package's one Dinic kernel, ``lp._max_flow``.
 
-    scipy is imported here, not at module level, so that parsing and
-    verifying never pay for it.  Capacities are integers, so the flow is
-    exact.
+    Its arcs are the unit graph arcs, then the source bundles, then the sink
+    bundles, each with its multiplicity.
     """
-    import numpy as np
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = net.n
-    s, t = n, n + 1
-    sources = [v for v, mult in enumerate(net.source_mult) if mult]
-    sinks = [v for v, mult in enumerate(net.sink_mult) if mult]
-    tails = [u for u, _ in net.arcs] + [s] * len(sources) + sinks
-    heads = [v for _, v in net.arcs] + sources + [t] * len(sinks)
-    caps = [1] * len(net.arcs)
-    caps += [net.source_mult[v] for v in sources] + [net.sink_mult[v] for v in sinks]
-    rows = np.asarray(tails, dtype=np.int32)
-    cols = np.asarray(heads, dtype=np.int32)
-    graph = csr_array((np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(n + 2, n + 2))
-    # A simple graph has at most one arc per node pair, so the flow matrix
-    # entry of each arc is that arc's flow alone.
-    assert graph.nnz == len(tails), "parallel arcs in the flow network"
-    result = maximum_flow(graph, s, t, method="dinic")
-    flow = result.flow[rows, cols].tolist()
-
-    m = len(net.arcs)
-    source_flow = [0] * n
-    sink_flow = [0] * n
-    for i, v in enumerate(sources, start=m):
-        source_flow[v] = flow[i]
-    for i, v in enumerate(sinks, start=m + len(sources)):
-        sink_flow[v] = flow[i]
-    value = int(result.flow_value)
-    return IntegralFlow(tuple(flow[:m]), tuple(source_flow), tuple(sink_flow), value)
+    n, m = net.n, len(net.arcs)
+    arcs = [(arc, 1) for arc in net.arcs]
+    arcs += [((n, v), mult) for v, mult in enumerate(net.source_mult) if mult]
+    arcs += [((v, n + 1), mult) for v, mult in enumerate(net.sink_mult) if mult]
+    flow, level = _max_flow(n + 2, arcs, n, n + 1)
+    bundles = iter(flow[m:])
+    source_flow = tuple(next(bundles) if mult else 0 for mult in net.source_mult)
+    sink_flow = tuple(next(bundles) if mult else 0 for mult in net.sink_mult)
+    unreached = tuple(v for v in range(n) if level[v] < 0)
+    return IntegralFlow(tuple(flow[:m]), source_flow, sink_flow, sum(sink_flow), unreached)
 
 
 def _test_x(
@@ -156,38 +146,13 @@ def _test_x(
     net = _network_from_slacks(g, start.head, slacks)
     flow = max_flow_unit(net)
     if flow.value < required:
-        hall[:] = _hall_set(net, flow)
+        hall[:] = flow.unreached
         return None
     heads = list(start.head)
     for e, f in enumerate(flow.edge_flow):
         if f:
             heads[e] = other_end(g.edges[e], heads[e])
     return Orientation(tuple(heads))
-
-
-def _hall_set(net: FlowNetwork, flow: IntegralFlow) -> list[int]:
-    """Nodes the source does not reach in the residual network of a max flow.
-
-    Residual graph arcs run tail to head in the repaired orientation, so
-    every edge meeting the unreached set S is owned inside S; no node of S
-    keeps a surplus and an unsaturated sink lies in S, so S's demand
-    exceeds its edges.
-    """
-    import numpy as np
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order
-
-    n = net.n
-    arcs = np.asarray(net.arcs, dtype=np.int32).reshape(-1, 2)
-    flipped = np.asarray(flow.edge_flow, dtype=bool)
-    surplus = np.flatnonzero(np.asarray(flow.source_flow) < np.asarray(net.source_mult))
-    tails = np.concatenate([np.where(flipped, arcs[:, 1], arcs[:, 0]), np.full(len(surplus), n)])
-    heads = np.concatenate([np.where(flipped, arcs[:, 0], arcs[:, 1]), surplus])
-    ones = np.ones(len(tails), dtype=np.int8)
-    residual = csr_array((ones, (tails, heads)), shape=(n + 1, n + 1))
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[breadth_first_order(residual, n, return_predecessors=False)] = True
-    return np.flatnonzero(~reached[:n]).tolist()
 
 
 def _next_target(g: Graph, hall: list[int], x: int, delta: int, objective: str) -> int | None:
@@ -222,8 +187,12 @@ test_x.__test__ = False  # not a pytest case despite the name
 
 
 def _default_orientation(g: Graph) -> Orientation:
-    # Deterministic start: every edge points at its higher endpoint.
-    return Orientation(tuple(nodes[1] for nodes in g.edges))
+    # Each edge enters the endpoint with fewer heads so far: few nodes start in deficit.
+    indeg, heads = [0] * g.n, []
+    for a, b in g.edges:
+        heads.append(a if indeg[a] < indeg[b] else b)
+        indeg[heads[-1]] += 1
+    return Orientation(tuple(heads))
 
 
 def solve_flow_seeded(g: Graph, objective: str = "star") -> SolveResult:

@@ -5,8 +5,12 @@ from its + row to its - row (a one-entry column's other end is the source).
 Row r bounds r's net outflow by b_r, so by Gale's supply-demand theorem the
 region is non-empty exactly when a max flow fills each demand -b_r > 0 from
 the source and the supplies b_r > 0; the flow is integral, so x = y / |c| is
-exact.  It is Dinic's on Python ints: scipy's ``maximum_flow`` takes int32
-capacities only, and returned flow 0, with no error, on two arcs of 3 * 10^9.
+exact.  ``_max_flow`` is the package's one max-flow kernel: the flow
+solver's probes run on it too, and its last search levels give them a
+minimum cut.  It is Dinic's on Python ints, not scipy's ``maximum_flow``,
+which takes int32 capacities only (it returned flow 0, with no error, on two
+arcs of 3 * 10^9) and whose numpy and scipy imports took a flow-solve
+process 0.3 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
         caps.append(abs(c))
     supply = [((s, r), b) for r, b in enumerate(rhs) if b > 0]
     demand = [((r, t), -b) for r, b in enumerate(rhs) if b < 0]
-    flow = _max_flow(t + 1, list(zip(ends, caps)) + supply + demand, s, t)
+    flow, _ = _max_flow(t + 1, list(zip(ends, caps)) + supply + demand, s, t)
     if any(f < c for f, (_, c) in zip(flow[len(flow) - len(demand):], demand)):
         return None
     flow = flow[:len(cols)]
@@ -63,24 +67,35 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
     return [Fraction(y, c) for y, c in zip(flow, caps)]
 
 
-def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
-    """Dinic's max flow over ((tail, head), capacity) arcs; returns each arc's flow."""
+def _max_flow(n: int, arcs, s: int, t: int) -> tuple[list[int], list[int]]:
+    """Dinic's max flow over ((tail, head), capacity) arcs: each arc's flow and the last levels.
+
+    The nodes at level -1, those the residual network does not reach from s,
+    are the sink side of a minimum cut.
+    """
     head, res, adj = [], [], [[] for _ in range(n)]
     for (u, v), c in arcs:  # arc i's residual is res[2i], its flow res[2i + 1]
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head += (v, u)
         res += (c, 0)
-    while True:
-        level, queue = [-1] * n, [s]
-        level[s] = 0
+
+    def levels(root, stop, back):  # BFS over residual arcs, reversed if back
+        level, queue = [-1] * n, [root]
+        level[root] = 0
         for u in queue:
-            for i in adj[u] if u != t else ():  # nodes past t's level lead nowhere
-                if res[i] and level[head[i]] < 0:
+            if u == stop:
+                break
+            for i in adj[u]:
+                if res[i ^ back] and level[head[i]] < 0:
                     level[head[i]] = level[u] + 1
                     queue.append(head[i])
-        if level[t] < 0:
-            return res[1::2]
+        return level
+
+    while True:
+        dist = levels(t, s, 1)  # from t: the flow solver's s feeds most nodes, t few
+        if dist[s] < 0:
+            return res[1::2], levels(s, t, 0)
         ptr, path, u = [0] * n, [], s
         while True:
             if u == t:  # augment, then retreat to the tail of the first saturated arc
@@ -89,9 +104,9 @@ def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
                     res[i] -= push
                     res[i ^ 1] += push
                 del path[next(k for k, i in enumerate(path) if not res[i]):]
-            else:
+            else:  # step only one closer to t
                 out, k = adj[u], ptr[u]
-                while k < len(out) and not (res[out[k]] and level[head[out[k]]] == level[u] + 1):
+                while k < len(out) and not (res[out[k]] and dist[head[out[k]]] == dist[u] - 1):
                     k += 1
                 ptr[u] = k
                 if k < len(out):

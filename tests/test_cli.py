@@ -426,6 +426,42 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _instance_text(kind, nodes, edges):
+    lines = [f"kind {kind}"] + [f"node {v}" for v in nodes] + [f"edge {a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+def test_flow_solves_leave_numpy_and_scipy_unloaded(tmp_path):
+    # every file runs at least one max flow; the first probe of each but the
+    # capacitated one fails
+    k5 = [(f"v{a}", f"v{b}") for a in range(5) for b in range(a + 1, 5)]
+    path = [(f"v{v}", f"v{v + 1}") for v in range(4, 14)]
+    files = {
+        "k5path.graph": _instance_text("simple", [f"v{v}" for v in range(15)], k5 + path),
+        "capped.graph": _instance_text(
+            "simple", ["a cap=2", "b cap=1", "c cap=2", "d cap=2", "e cap=1"],
+            "ab ac bc bd cd de ce ae".split(),
+        ),
+        "multi.graph": _instance_text("multi", "abcdef", "ab ab ac ad bc bd cd de ef".split()),
+        "loops.graph": _instance_text("selfloop", "abcd", "aa bb ab bc cd ac bd ad".split()),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = (
+        "import sys, starpart.cli\n"
+        "for name, *extra in (('k5path.graph',), ('capped.graph', '--objective', 'ind'),\n"
+        "                     ('multi.graph',), ('loops.graph',)):\n"
+        "    rc = starpart.cli.main(['solve', sys.argv[1] + '/' + name, *extra])\n"
+        "    print(rc, 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "value 3", "0 False False", "value 2", "0 False False",
+        "value 3", "0 False False", "value 3", "0 False False",
+    ]
+
+
 def test_approx_leaves_numpy_and_scipy_unloaded(tmp_path):
     # 25 edges, past the weighted guard, so the numpy oracle stays out
     g = generate(GeneratorSpec("random", n=10, m=25, seed=3))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from starpart import (
+    FlowNetwork,
     GraphKind,
     INFEASIBLE,
     Orientation,
@@ -21,6 +22,7 @@ from starpart import (
     test_x,
 )
 from starpart.errors import UnsupportedKind
+from starpart.lp import _max_flow
 
 
 def test_slackness_formula_cases():
@@ -392,3 +394,86 @@ def test_ind_cli_solves_planted_capacities_on_the_original_graph(monkeypatch, tm
     assert cli.main(
         ["verify", str(path), str(sol), "--objective", "ind", "--bound", value]
     ) == 0
+
+
+def _scipy_flow_value(n, arcs, s, t):
+    """Reference max-flow value from scipy's Dinic; parallel arcs sum into one entry."""
+    import numpy as np
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
+    tails = np.asarray([u for (u, _), _ in arcs], dtype=np.int32)
+    heads = np.asarray([v for (_, v), _ in arcs], dtype=np.int32)
+    caps = np.asarray([c for _, c in arcs], dtype=np.int32)
+    graph = csr_array((caps, (tails, heads)), shape=(n, n))
+    return int(maximum_flow(graph, s, t, method="dinic").flow_value)
+
+
+def _certified_value(n, arcs, s, t, flow, reached):
+    """Value of a flow that keeps capacities and conservation and fills the cut it leaves.
+
+    The arcs from ``reached`` (which holds s, not t) to the other nodes
+    carry as much as the flow's value, so no flow is larger.
+    """
+    net = [0] * n
+    for ((u, v), c), f in zip(arcs, flow):
+        assert 0 <= f <= c
+        net[u] -= f
+        net[v] += f
+    assert [x for w, x in enumerate(net) if w not in (s, t)] == [0] * (n - 2)
+    assert net[s] == -net[t]
+    assert reached[s] and not reached[t]
+    assert sum(c for (u, v), c in arcs if reached[u] and not reached[v]) == net[t]
+    return net[t]
+
+
+def _random_pairs(rng, n, count):
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(count)]
+    return pairs + rng.choices(pairs, k=min(len(pairs), rng.randint(0, 3)))
+
+
+def test_kernel_matches_scipy_on_random_networks():
+    rng = random.Random(97)
+    zero = parallel = 0
+    for trial in range(150):
+        n = rng.randint(2, 9)
+        arcs = [(pair, rng.randint(1, 5)) for pair in _random_pairs(rng, n, rng.randint(0, 3 * n))]
+        flow, level = _max_flow(n, arcs, 0, n - 1)
+        value = _certified_value(n, arcs, 0, n - 1, flow, [d >= 0 for d in level])
+        assert value == _scipy_flow_value(n, arcs, 0, n - 1), arcs
+        zero += value == 0
+        parallel += len({pair for pair, _ in arcs}) < len(arcs)
+    assert zero and parallel
+
+
+def test_max_flow_unit_matches_scipy_on_bundled_networks():
+    rng = random.Random(101)
+    zero = parallel = 0
+    for trial in range(200):
+        n = rng.randint(2, 8)
+        pairs = _random_pairs(rng, n, rng.randint(0, 3 * n))
+        source = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+        sink = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+        flow = max_flow_unit(FlowNetwork(n, tuple(pairs), source, sink))
+        assert all(f == 0 for f, c in zip(flow.source_flow + flow.sink_flow, source + sink) if not c)
+        s, t = n, n + 1
+        arcs = [(pair, 1) for pair in pairs]
+        arcs += [((s, v), c) for v, c in enumerate(source) if c]
+        arcs += [((v, t), c) for v, c in enumerate(sink) if c]
+        flows = list(flow.edge_flow)
+        flows += [f for f, c in zip(flow.source_flow, source) if c]
+        flows += [f for f, c in zip(flow.sink_flow, sink) if c]
+        reached = [v not in flow.unreached for v in range(n)] + [True, False]
+        value = _certified_value(n + 2, arcs, s, t, flows, reached)
+        assert value == flow.value == _scipy_flow_value(n + 2, arcs, s, t), (pairs, source, sink)
+        zero += value == 0
+        parallel += len(set(pairs)) < len(pairs)
+    assert zero and parallel
+
+
+def test_kernel_cut_certifies_capacities_past_int32():
+    # scipy's kernel is int32-only; the filled cut alone shows this flow is maximum
+    big = 3 * 10**9
+    arcs = [((0, 1), big), ((0, 2), 2 * big), ((1, 2), big), ((1, 3), big), ((2, 3), big + 1)]
+    flow, level = _max_flow(4, arcs, 0, 3)
+    assert _certified_value(4, arcs, 0, 3, flow, [d >= 0 for d in level]) == 2 * big + 1
