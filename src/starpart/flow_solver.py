@@ -7,15 +7,16 @@ graph edge (in its current direction), source arcs into surplus nodes and
 sink arcs out of deficient nodes decides in one max-flow computation
 whether the deficits can all be repaired simultaneously.  Reversing the
 graph edges that carry flow yields an orientation whose induced coloring
-meets the target.  The max flow is ``lp._max_flow``, the Dinic kernel the
-weighted LP runs on too; on these unit-capacity networks it takes
-O(|E| · min{|V|^(2/3), |E|^(1/2)}) (Even–Tarjan 1975).
+meets the target.  That network's residual graph is the orientation with
+the saturated edges flipped, so ``_repair`` runs Dinic's algorithm on the
+head array itself, with no network built, in O(|E| · min{|V|^(2/3),
+|E|^(1/2)}) (Even–Tarjan 1975).
 
 The same network decides min-max indegree with the demand deg - min(cap, k)
-(Hakimi 1965).  A failed probe leaves a Hall set S, the nodes the residual
-network does not reach from the source, whose demand exceeds the edges
-meeting it; the next probe is the least target at which S is satisfiable,
-so the first success is optimal.  After ceil(log2 Δ) + 1 such probes the
+(Hakimi 1965).  A failed probe leaves a Hall set S, the nodes the surplus
+nodes cannot reach along the repaired orientation, whose demand exceeds
+the edges meeting it; the next probe is the least target at which S is
+satisfiable, so the first success is optimal.  After ceil(log2 Δ) + 1 such probes the
 search bisects instead, keeping O(log Δ) probes.  Self-loops reach this
 module as capacity-1 pendants (``reductions.preprocess_and_solve``).
 """
@@ -35,7 +36,6 @@ from .coloring import (
 )
 from .errors import UnsupportedKind
 from .graph import Graph, GraphKind, other_end
-from .lp import _max_flow
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,12 @@ class IntegralFlow:
     sink_flow: tuple[int, ...]
     value: int
     unreached: tuple[int, ...]
-    """Graph nodes the source does not reach in the residual network: a minimum cut.
+    """When the flow falls short, the nodes the surplus nodes cannot reach along tail→tip.
 
-    Residual graph arcs run tail to head in the repaired orientation, so
-    every edge meeting this set S is owned inside S; no node of S keeps a
-    surplus, and when the flow falls short an unsaturated sink lies in S, so
-    S's demand exceeds its edges: a violated Hall set.
+    Tips are heads with the flow's edges flipped; surplus nodes have a
+    source bundle not full.  This S is the sink side of a minimum cut: every
+    edge meeting S is owned inside S, no node of S keeps a surplus, and an
+    unsaturated sink in S makes it a violated Hall set.  Empty if all sinks fill.
     """
 
 
@@ -88,20 +88,20 @@ def slackness(g: Graph, orientation: Orientation, v: int, x: int) -> int:
     return out - _demand(len(g.incidence[v]), g.capacities[v], x, "star")
 
 
-def _slacks(g: Graph, head: tuple[int, ...], x: int, objective: str) -> list[int]:
-    # A node owns every edge at it that does not enter it.
+def _slacks(g: Graph, head: tuple[int, ...], x: int, objective: str) -> tuple[list[int], list[int]]:
+    """Each node's slack at target x and its indegree; it owns its edges that do not enter it."""
     indeg = [0] * g.n
     for h in head:
         indeg[h] += 1
     return [
         len(inc) - indeg[v] - _demand(len(inc), cap, x, objective)
         for v, (inc, cap) in enumerate(zip(g.incidence, g.capacities))
-    ]
+    ], indeg
 
 
 def build_flow_network(g: Graph, orientation: Orientation, x: int) -> FlowNetwork:
     """Network whose max flow decides whether target x is achievable."""
-    slacks = _slacks(g, orientation.head, x, "star")
+    slacks, _ = _slacks(g, orientation.head, x, "star")
     return _network_from_slacks(g, orientation.head, slacks)
 
 
@@ -112,47 +112,114 @@ def _network_from_slacks(g: Graph, head: tuple[int, ...], slacks: list[int]) -> 
     return FlowNetwork(g.n, tuple(arcs), source, sink)
 
 
-def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
-    """Maximum integral s-t flow from the package's one Dinic kernel, ``lp._max_flow``.
+def _repair(ends: list[int], incidence, tip: list[int], excess: list[int]) -> list[int] | None:
+    """Unit-capacity Dinic on an orientation: flip ``tip`` until no deficit is left.
 
-    Its arcs are the unit graph arcs, then the source bundles, then the sink
-    bundles, each with its multiplicity.
+    Edge e joins the nodes whose xor is ``ends[e]`` and points from its tail
+    to ``tip[e]``; ``incidence[v]`` lists the edges at v, and node v has
+    surplus ``excess[v] > 0`` or deficit ``-excess[v]``.  Each phase levels
+    the nodes by their distance along tail→tip to a deficit; each augmenting
+    path steps one level closer, flips its edges and moves one unit of
+    ``excess``.  Returns None once every deficit is filled, else the nodes
+    the surplus nodes cannot reach along tail→tip.  The weighted LP's
+    capacities are not unit, so it keeps ``lp._max_flow``.
     """
-    n, m = net.n, len(net.arcs)
-    arcs = [(arc, 1) for arc in net.arcs]
-    arcs += [((n, v), mult) for v, mult in enumerate(net.source_mult) if mult]
-    arcs += [((v, n + 1), mult) for v, mult in enumerate(net.sink_mult) if mult]
-    flow, level = _max_flow(n + 2, arcs, n, n + 1)
-    bundles = iter(flow[m:])
-    source_flow = tuple(next(bundles) if mult else 0 for mult in net.source_mult)
-    sink_flow = tuple(next(bundles) if mult else 0 for mult in net.sink_mult)
-    unreached = tuple(v for v in range(n) if level[v] < 0)
-    return IntegralFlow(tuple(flow[:m]), source_flow, sink_flow, sum(sink_flow), unreached)
+    n = len(incidence)
+    while True:
+        # Backwards from the deficits until a level holds a surplus.
+        level = [0 if r < 0 else -1 for r in excess]
+        frontier = [v for v in range(n) if not level[v]]
+        if not frontier:
+            return None
+        roots, depth = [], 0
+        while frontier and not roots:
+            depth += 1
+            below, frontier = frontier, []
+            for u in below:
+                for e in incidence[u]:
+                    if tip[e] == u:
+                        w = ends[e] ^ u
+                        if level[w] < 0:
+                            level[w] = depth
+                            frontier.append(w)
+            roots = [w for w in frontier if excess[w] > 0]
+        if not roots:
+            break
+        # Blocking flow: a node that is full or a dead end leaves the levels.
+        ptr = [0] * n
+        for root in roots:
+            path, u = [], root
+            while excess[root] > 0:
+                inc, k, want = incidence[u], ptr[u], level[u] - 1
+                end = len(inc)
+                while k < end and not ((w := tip[inc[k]]) != u and level[w] == want):
+                    k += 1
+                ptr[u] = k
+                if k == end:
+                    level[u] = -1
+                    if not path:
+                        break
+                    u = ends[path.pop()] ^ u
+                elif want:
+                    path.append(inc[k])
+                    u = w
+                else:  # w is a deficit
+                    for e in path + [inc[k]]:
+                        tip[e] ^= ends[e]
+                    excess[root] -= 1
+                    excess[w] += 1
+                    if not excess[w]:
+                        level[w] = -1
+                    path, u = [], root
+    reached = [r > 0 for r in excess]
+    queue = [v for v in range(n) if reached[v]]
+    for u in queue:
+        for e in incidence[u]:
+            w = tip[e]
+            if not reached[w]:
+                reached[w] = True
+                queue.append(w)
+    return [v for v in range(n) if not reached[v]]
+
+
+def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
+    """Maximum integral s-t flow from the unit kernel ``_repair`` on the arcs as an orientation.
+
+    A node's excess is its source minus its sink multiplicity; a bundle's
+    flow is its multiplicity minus what the kernel leaves of that excess,
+    and an arc carries flow when the kernel flipped it.
+    """
+    incidence = [[] for _ in range(net.n)]
+    for e, (u, v) in enumerate(net.arcs):
+        incidence[u].append(e)
+        incidence[v].append(e)
+    tip = [v for _, v in net.arcs]
+    excess = [a - b for a, b in zip(net.source_mult, net.sink_mult)]
+    unreached = _repair([u ^ v for u, v in net.arcs], incidence, tip, excess)
+    source_flow = tuple(a - max(0, r) for a, r in zip(net.source_mult, excess))
+    sink_flow = tuple(b - max(0, -r) for b, r in zip(net.sink_mult, excess))
+    edge_flow = tuple(int(t != v) for t, (_, v) in zip(tip, net.arcs))
+    return IntegralFlow(edge_flow, source_flow, sink_flow, sum(sink_flow), tuple(unreached or ()))
 
 
 def _test_x(
     g: Graph, x: int, start: Orientation, objective: str, hall: list[int]
 ) -> Orientation | None:
     """Probe target x; on failure fill ``hall`` with a violated node set."""
-    for v, (inc, cap) in enumerate(zip(g.incidence, g.capacities)):
-        if _demand(len(inc), cap, x, objective) > len(inc):
-            # v cannot own enough edges even if it owns all of them.
+    slacks, indeg = _slacks(g, start.head, x, objective)
+    for v, (s, d) in enumerate(zip(slacks, indeg)):
+        if s < -d:
+            # demand > degree: v cannot own enough edges even if it owns all of them
             hall[:] = [v]
             return None
-    slacks = _slacks(g, start.head, x, objective)
-    required = sum(-s for s in slacks if s < 0)
-    if required == 0:
+    if all(s >= 0 for s in slacks):
         return start
-    net = _network_from_slacks(g, start.head, slacks)
-    flow = max_flow_unit(net)
-    if flow.value < required:
-        hall[:] = flow.unreached
+    tip = list(start.head)
+    unreached = _repair([a ^ b for a, b in g.edges], g.incidence, tip, slacks)
+    if unreached is not None:
+        hall[:] = unreached
         return None
-    heads = list(start.head)
-    for e, f in enumerate(flow.edge_flow):
-        if f:
-            heads[e] = other_end(g.edges[e], heads[e])
-    return Orientation(tuple(heads))
+    return Orientation(tuple(tip))
 
 
 def _next_target(g: Graph, hall: list[int], x: int, delta: int, objective: str) -> int | None:

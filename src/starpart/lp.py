@@ -5,12 +5,10 @@ from its + row to its - row (a one-entry column's other end is the source).
 Row r bounds r's net outflow by b_r, so by Gale's supply-demand theorem the
 region is non-empty exactly when a max flow fills each demand -b_r > 0 from
 the source and the supplies b_r > 0; the flow is integral, so x = y / |c| is
-exact.  ``_max_flow`` is the package's one max-flow kernel: the flow
-solver's probes run on it too, and its last search levels give them a
-minimum cut.  It is Dinic's on Python ints, not scipy's ``maximum_flow``,
-which takes int32 capacities only (it returned flow 0, with no error, on two
-arcs of 3 * 10^9) and whose numpy and scipy imports took a flow-solve
-process 0.3 s on a 2-vCPU machine.
+exact.  ``_max_flow`` is Dinic's on Python ints, not scipy's
+``maximum_flow``, which takes int32 capacities only (it returned flow 0, with
+no error, on two arcs of 3 * 10^9) and whose numpy and scipy imports took a
+flow-solve process 0.3 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
         caps.append(abs(c))
     supply = [((s, r), b) for r, b in enumerate(rhs) if b > 0]
     demand = [((r, t), -b) for r, b in enumerate(rhs) if b < 0]
-    flow, _ = _max_flow(t + 1, list(zip(ends, caps)) + supply + demand, s, t)
+    flow = _max_flow(t + 1, list(zip(ends, caps)) + supply + demand, s, t)
     if any(f < c for f, (_, c) in zip(flow[len(flow) - len(demand):], demand)):
         return None
     flow = flow[:len(cols)]
@@ -67,11 +65,12 @@ def find_basic_feasible(cols: list[dict[int, int]], rhs: list[int]) -> list[Frac
     return [Fraction(y, c) for y, c in zip(flow, caps)]
 
 
-def _max_flow(n: int, arcs, s: int, t: int) -> tuple[list[int], list[int]]:
-    """Dinic's max flow over ((tail, head), capacity) arcs: each arc's flow and the last levels.
+def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
+    """Dinic's max flow over ((tail, head), capacity) arcs: each arc's flow.
 
-    The nodes at level -1, those the residual network does not reach from s,
-    are the sink side of a minimum cut.
+    ``find_basic_feasible`` is its one caller.  Its capacities
+    W = w[lo]·w[hi] are not unit, which is why it stays beside the flow
+    solver's unit kernel, ``flow_solver._repair``.
     """
     head, res, adj = [], [], [[] for _ in range(n)]
     for (u, v), c in arcs:  # arc i's residual is res[2i], its flow res[2i + 1]
@@ -79,23 +78,18 @@ def _max_flow(n: int, arcs, s: int, t: int) -> tuple[list[int], list[int]]:
         adj[v].append(len(head) + 1)
         head += (v, u)
         res += (c, 0)
-
-    def levels(root, stop, back):  # BFS over residual arcs, reversed if back
-        level, queue = [-1] * n, [root]
-        level[root] = 0
+    while True:
+        dist, queue = [-1] * n, [t]  # residual distances to t, searched back from t until s
+        dist[t] = 0
         for u in queue:
-            if u == stop:
+            if u == s:
                 break
             for i in adj[u]:
-                if res[i ^ back] and level[head[i]] < 0:
-                    level[head[i]] = level[u] + 1
+                if res[i ^ 1] and dist[head[i]] < 0:
+                    dist[head[i]] = dist[u] + 1
                     queue.append(head[i])
-        return level
-
-    while True:
-        dist = levels(t, s, 1)  # from t: the flow solver's s feeds most nodes, t few
         if dist[s] < 0:
-            return res[1::2], levels(s, t, 0)
+            return res[1::2]
         ptr, path, u = [0] * n, [], s
         while True:
             if u == t:  # augment, then retreat to the tail of the first saturated arc

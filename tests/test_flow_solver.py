@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -242,16 +243,18 @@ def test_counting_bound_proves_optimality_in_one_probe(monkeypatch):
     assert calls == [bound]
 
 
+def _need(g, v, x, objective):
+    """Edges v must own at target x, from the graph alone."""
+    deg = len(g.incidence[v])
+    reach = min(g.capacities[v], x)
+    if objective == "ind":
+        return max(0, deg - reach)
+    return deg - reach + 1 if deg - reach + 1 >= 2 else 0
+
+
 def _hall_violation(g, x, hall, objective):
     """need(S) - |edges meeting S|, from the graph alone."""
-    need = 0
-    for v in hall:
-        deg = len(g.incidence[v])
-        reach = min(g.capacities[v], x)
-        if objective == "ind":
-            need += max(0, deg - reach)
-        elif deg - reach + 1 >= 2:
-            need += deg - reach + 1
+    need = sum(_need(g, v, x, objective) for v in hall)
     inside = set(hall)
     meeting = sum(1 for a, b in g.edges if a in inside or b in inside)
     return need - meeting
@@ -313,6 +316,61 @@ def test_failed_probes_leave_violated_hall_sets(monkeypatch):
             # the probe saw the pendant graph: one pendant per looped node
             assert g.n == source.n + len({e[0] for e in source.edges if len(e) == 1})
         assert _hall_violation(g, x, hall, objective) > 0, (g.edges, x, hall)
+
+
+def _owned_minus_need(g, head, x, objective):
+    """Each node's owned edges under ``head`` minus its need at target x."""
+    owned = [len(inc) for inc in g.incidence]
+    for h in head:
+        owned[h] -= 1
+    return [owned[v] - _need(g, v, x, objective) for v in range(g.n)]
+
+
+def _large_graph(rng, n, m, planted):
+    """A seeded connected simple graph; planted capacities sit 0-2 above a random indegree."""
+    g = generate(GeneratorSpec("random", n=n, m=m, seed=rng.randrange(10**6)))
+    if not planted:
+        return g
+    indeg = [0] * n
+    for edge in g.edges:
+        indeg[rng.choice(edge)] += 1
+    return build_graph(n, g.edges, capacities=[d + rng.randint(0, 2) for d in indeg])
+
+
+def test_every_probe_is_exact_at_scale(monkeypatch):
+    import starpart.flow_solver as flow_solver
+
+    probes = []
+    probe = flow_solver._test_x
+
+    def recorded(g, x, start, objective, hall):
+        result = probe(g, x, start, objective, hall)
+        probes.append((g, x, start, objective, list(hall), result))
+        return result
+
+    monkeypatch.setattr(flow_solver, "_test_x", recorded)
+    rng = random.Random(103)
+    for objective, planted, (n, m) in itertools.product(
+        ("star", "ind"), (False, True), ((1000, 5000), (500, 10000), (4000, 20000))
+    ):
+        flow_solver.solve_flow_seeded(_large_graph(rng, n, m, planted), objective)
+    verdicts = set()
+    for g, x, start, objective, hall, result in probes:
+        # scipy decides the probe on the network built from the graph alone
+        slack = _owned_minus_need(g, start.head, x, objective)
+        s, t = g.n, g.n + 1
+        arcs = [((a ^ b ^ h, h), 1) for (a, b), h in zip(g.edges, start.head)]
+        arcs += [((s, v), c) for v, c in enumerate(slack) if c > 0]
+        arcs += [((v, t), -c) for v, c in enumerate(slack) if c < 0]
+        required = sum(-c for c in slack if c < 0)
+        feasible = _scipy_flow_value(g.n + 2, arcs, s, t) == required
+        assert (result is not None) == feasible, (objective, g.m, x)
+        if feasible:
+            assert min(_owned_minus_need(g, result.head, x, objective)) >= 0
+        else:
+            assert _hall_violation(g, x, hall, objective) > 0, (objective, g.m, x)
+        verdicts.add((objective, feasible))
+    assert len(verdicts) == 4, verdicts
 
 
 def _nested_cliques():
@@ -409,12 +467,8 @@ def _scipy_flow_value(n, arcs, s, t):
     return int(maximum_flow(graph, s, t, method="dinic").flow_value)
 
 
-def _certified_value(n, arcs, s, t, flow, reached):
-    """Value of a flow that keeps capacities and conservation and fills the cut it leaves.
-
-    The arcs from ``reached`` (which holds s, not t) to the other nodes
-    carry as much as the flow's value, so no flow is larger.
-    """
+def _flow_value(n, arcs, s, t, flow):
+    """Value of a flow that keeps every capacity and conserves flow outside s and t."""
     net = [0] * n
     for ((u, v), c), f in zip(arcs, flow):
         assert 0 <= f <= c
@@ -422,9 +476,21 @@ def _certified_value(n, arcs, s, t, flow, reached):
         net[v] += f
     assert [x for w, x in enumerate(net) if w not in (s, t)] == [0] * (n - 2)
     assert net[s] == -net[t]
-    assert reached[s] and not reached[t]
-    assert sum(c for (u, v), c in arcs if reached[u] and not reached[v]) == net[t]
     return net[t]
+
+
+def _cut_capacity(arcs, reached):
+    """Capacity of the arcs from ``reached`` to the other nodes."""
+    return sum(c for (u, v), c in arcs if reached[u] and not reached[v])
+
+
+def _min_cut(n, arcs, s, t):
+    """Least capacity of an s-t cut, over every source side."""
+    others = [v for v in range(n) if v not in (s, t)]
+    caps = []
+    for side in itertools.product((False, True), repeat=len(others)):
+        caps.append(_cut_capacity(arcs, dict(zip(others, side)) | {s: True, t: False}))
+    return min(caps)
 
 
 def _random_pairs(rng, n, count):
@@ -438,8 +504,8 @@ def test_kernel_matches_scipy_on_random_networks():
     for trial in range(150):
         n = rng.randint(2, 9)
         arcs = [(pair, rng.randint(1, 5)) for pair in _random_pairs(rng, n, rng.randint(0, 3 * n))]
-        flow, level = _max_flow(n, arcs, 0, n - 1)
-        value = _certified_value(n, arcs, 0, n - 1, flow, [d >= 0 for d in level])
+        value = _flow_value(n, arcs, 0, n - 1, _max_flow(n, arcs, 0, n - 1))
+        assert value == _min_cut(n, arcs, 0, n - 1), arcs
         assert value == _scipy_flow_value(n, arcs, 0, n - 1), arcs
         zero += value == 0
         parallel += len({pair for pair, _ in arcs}) < len(arcs)
@@ -464,7 +530,8 @@ def test_max_flow_unit_matches_scipy_on_bundled_networks():
         flows += [f for f, c in zip(flow.source_flow, source) if c]
         flows += [f for f, c in zip(flow.sink_flow, sink) if c]
         reached = [v not in flow.unreached for v in range(n)] + [True, False]
-        value = _certified_value(n + 2, arcs, s, t, flows, reached)
+        value = _flow_value(n + 2, arcs, s, t, flows)
+        assert _cut_capacity(arcs, reached) == value
         assert value == flow.value == _scipy_flow_value(n + 2, arcs, s, t), (pairs, source, sink)
         zero += value == 0
         parallel += len(set(pairs)) < len(pairs)
@@ -472,8 +539,8 @@ def test_max_flow_unit_matches_scipy_on_bundled_networks():
 
 
 def test_kernel_cut_certifies_capacities_past_int32():
-    # scipy's kernel is int32-only; the filled cut alone shows this flow is maximum
+    # scipy's kernel is int32-only; the least cut alone shows this flow is maximum
     big = 3 * 10**9
     arcs = [((0, 1), big), ((0, 2), 2 * big), ((1, 2), big), ((1, 3), big), ((2, 3), big + 1)]
-    flow, level = _max_flow(4, arcs, 0, 3)
-    assert _certified_value(4, arcs, 0, 3, flow, [d >= 0 for d in level]) == 2 * big + 1
+    value = _flow_value(4, arcs, 0, 3, _max_flow(4, arcs, 0, 3))
+    assert value == _min_cut(4, arcs, 0, 3) == 2 * big + 1

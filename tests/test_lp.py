@@ -29,20 +29,6 @@ def test_negative_rhs_inequality():
     assert find_basic_feasible([{0: -1}], [-1]) == [F(1)]
 
 
-def _stub_linprog(monkeypatch, *results):
-    """Replace linprog by a stub answering one result per call; returns the methods asked."""
-    import scipy.optimize
-
-    methods, answers = [], iter(results)
-
-    def stub(*args, method, **kwargs):
-        methods.append(method)
-        return next(answers)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", stub)
-    return methods
-
-
 def test_flow_cycle_is_pivoted_to_a_forest(monkeypatch):
     # rows 2 and 3 supply 2 and 3, rows 0 and 1 demand 3 and 1 (column {3: 3, 0: -3}
     # is an arc 3 -> 0 of capacity 3); the max flow sends 1 along 3 -> 0, 2 along
@@ -71,13 +57,20 @@ def test_infeasible_complete_graphs(n, weights, limit):
     assert lp_feasible(g, weights, limit) is None
 
 
-def test_forced_costs_over_the_limit_skip_highs(monkeypatch):
+def test_forced_costs_over_the_limit_skip_the_max_flow(monkeypatch):
     # edges 01 and 02 must go to node 0 (w0 = 9 > 5), which then carries 3 + 3 > 5;
     # edge 12 stays free, so the LP has a column
-    methods = _stub_linprog(monkeypatch)
+    calls = []
+    max_flow = lp._max_flow
+
+    def recorded(*args):
+        calls.append(args)
+        return max_flow(*args)
+
+    monkeypatch.setattr(lp, "_max_flow", recorded)
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)], weights=[9, 3, 3])
     assert lp_feasible(g, (9, 3, 3), 5) is None
-    assert methods == []
+    assert calls == []
 
 
 def test_pivot_rules_agree_on_feasibility():
