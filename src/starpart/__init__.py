@@ -9,78 +9,46 @@ variants with their hardness reductions and LP-rounding approximations,
 brute-force oracles, generators, and a command line front end.
 """
 
-from .coloring import (
-    INFEASIBLE,
-    Orientation,
-    PartialColoring,
-    SolveResult,
-    StarDecomposition,
-    extract_stars,
-    is_valid,
-    lower_demand,
-    node_loads,
-    orientation_to_owner,
-    owner_to_orientation,
-    star_partition_value,
-)
-from .dfs_solver import (
-    SearchState,
-    color_one_edge,
-    ensure_feasibility,
-    minimum_star_coloring,
-    solve_with_state,
-)
-from .flow_solver import (
-    FlowNetwork,
-    IntegralFlow,
-    build_flow_network,
-    max_flow_unit,
-    minimum_star_coloring_flow,
-    slackness,
-    test_x,
-)
-from .graph import (
-    Graph,
-    GraphKind,
-    build_graph,
-    degree,
-    extract_self_loops,
-    max_degree,
-    max_edge_size,
-    merge_parallel_edges,
-)
-from .oracle import (
-    GeneratorSpec,
-    brute_force_kstar,
-    brute_force_weighted,
-    brute_force_xstar,
-    closed_form,
-    generate,
-)
-from .reductions import (
-    PendantReduction,
-    ind_to_star,
-    max_indegree,
-    preprocess_and_solve,
-    recover_ind_solution,
-    simultaneous_optimum,
-    solve,
-    solve_min_max_ind,
-)
-from .weighted import (
-    BinPackingInstance,
-    FractionalOrientation,
-    GadgetReduction,
-    approx2_wind,
-    approx4_wstar,
-    binpacking_to_wind,
-    extract_packing,
-    gadget_orientation,
-    gadget_transform,
-    lp_feasible,
-    packing_to_orientation,
-    round_fractional,
-)
+# Each public name and the submodule that defines it.  The package imports
+# a submodule on first access to one of its names (PEP 562), so a command
+# loads only the modules it runs.
+_HOME = {
+    name: module
+    for module, names in {
+        "coloring": "INFEASIBLE Orientation PartialColoring SolveResult StarDecomposition "
+        "extract_stars is_valid lower_demand node_loads orientation_to_owner "
+        "owner_to_orientation star_partition_value",
+        "dfs_solver": "SearchState color_one_edge ensure_feasibility minimum_star_coloring "
+        "solve_with_state",
+        "flow_solver": "FlowNetwork IntegralFlow build_flow_network max_flow_unit "
+        "minimum_star_coloring_flow slackness test_x",
+        "graph": "Graph GraphKind build_graph degree extract_self_loops max_degree "
+        "max_edge_size merge_parallel_edges",
+        "oracle": "GeneratorSpec brute_force_kstar brute_force_weighted brute_force_xstar "
+        "closed_form generate",
+        "reductions": "PendantReduction ind_to_star max_indegree preprocess_and_solve "
+        "recover_ind_solution simultaneous_optimum solve solve_min_max_ind",
+        "weighted": "BinPackingInstance FractionalOrientation GadgetReduction approx2_wind "
+        "approx4_wstar binpacking_to_wind extract_packing gadget_orientation "
+        "gadget_transform lp_feasible packing_to_orientation round_fractional",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 # The solving surface.  Helpers such as test_x, slackness, max_flow_unit,
 # lower_demand and preprocess_and_solve stay importable from here but are

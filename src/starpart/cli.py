@@ -10,10 +10,8 @@ generator seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 
 from .coloring import (
     INFEASIBLE,
@@ -23,7 +21,7 @@ from .coloring import (
     owner_to_orientation,
 )
 from .errors import StarPartError, UnsupportedKind
-from .graph import GraphKind, build_graph
+from .graph import GraphKind, _require_ind_kind, build_graph
 from .instance_io import (
     Instance,
     format_instance,
@@ -32,15 +30,8 @@ from .instance_io import (
     parse_instance,
     parse_solution,
 )
-from .oracle import _WEIGHTED_GUARD, GeneratorSpec, brute_force_weighted, generate
-from .reductions import PendantReduction, _require_ind_kind, ind_to_star, recover_ind_solution, solve
-from .weighted import (
-    binpacking_to_wind,
-    extract_packing,
-    gadget_transform,
-    approx2_wind,
-    approx4_wstar,
-)
+
+# Each command imports its solver modules itself, so it loads only what it runs.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,6 +134,8 @@ def _default_seed(explicit) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .reductions import solve
+
     inst = parse_instance(_read(args.instance))
     res = solve(inst.graph, args.objective, args.algo)
     print("value " + ("INFEASIBLE" if res.value == INFEASIBLE else str(int(res.value))))
@@ -208,7 +201,11 @@ def _unique_name(base: str, taken: set[str]) -> str:
 
 
 def cmd_reduce(args) -> int:
+    import json
+
     if args.kind == "ind2star":
+        from .reductions import ind_to_star
+
         inst = parse_instance(_read(args.input))
         if inst.graph.kind is not GraphKind.SIMPLE:
             raise UnsupportedKind("ind2star expects a simple instance")
@@ -227,6 +224,8 @@ def cmd_reduce(args) -> int:
     elif args.kind == "wind2wstar":
         if args.k is None or args.k < 1:
             raise ValueError("wind2wstar needs --k >= 1")
+        from .weighted import gadget_transform
+
         inst = parse_instance(_read(args.input))
         red = gadget_transform(inst.graph, inst.graph.weights, args.k)
         taken = set(inst.node_names)
@@ -245,6 +244,8 @@ def cmd_reduce(args) -> int:
             "threshold": red.threshold,
         }
     elif args.kind == "bp2wind":
+        from .weighted import binpacking_to_wind
+
         bp = parse_binpack(_read(args.input))
         graph, threshold = binpacking_to_wind(bp)
         names = [f"i{j + 1}" for j in range(len(bp.sizes))] + [
@@ -268,6 +269,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_pullback(args) -> int:
+    import json
+
     sidecar = json.loads(_read(args.sidecar))
     reduced = parse_instance(_read(args.reduced_instance))
     owners, declared = parse_solution(_read(args.solution), reduced)
@@ -290,6 +293,8 @@ def cmd_pullback(args) -> int:
             n, red_graph.edges[:m], GraphKind.SIMPLE, capacities=caps, weights=sidecar.get("weights")
         )
         if kind == "ind2star":
+            from .reductions import PendantReduction, recover_ind_solution
+
             red = PendantReduction(original=orig, reduced=red_graph)
             orientation = recover_ind_solution(red, coloring)
         else:
@@ -305,7 +310,7 @@ def cmd_pullback(args) -> int:
         return EXIT_OK
 
     if kind == "bp2wind":
-        from .weighted import BinPackingInstance
+        from .weighted import BinPackingInstance, extract_packing
 
         bp = BinPackingInstance(
             sizes=tuple(sidecar["sizes"]),
@@ -332,6 +337,8 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .weighted import _WEIGHTED_GUARD, approx2_wind, approx4_wstar
+
     inst = parse_instance(_read(args.instance))
     g = inst.graph
     if args.objective == "wind":
@@ -345,6 +352,8 @@ def cmd_approx(args) -> int:
     if args.out:
         _write(args.out, format_solution(inst, coloring, value))
     if g.m <= _WEIGHTED_GUARD:
+        from .oracle import brute_force_weighted
+
         optimum, _ = brute_force_weighted(g, g.weights, objective)
         print(f"optimum {optimum}")
         ratio = value / optimum if optimum else 1.0
@@ -356,6 +365,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .oracle import GeneratorSpec, generate
+
     spec = GeneratorSpec(
         family=args.family,
         n=args.n,
@@ -384,6 +395,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
+    import time
+
+    from .oracle import GeneratorSpec, generate
+    from .reductions import solve
+
     lo, hi = _parse_range(args.nodes)
     steps = max(1, args.steps)
     sizes = sorted({round(lo + (hi - lo) * i / max(1, steps - 1)) for i in range(steps)})

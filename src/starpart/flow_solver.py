@@ -205,13 +205,21 @@ def max_flow_unit(net: FlowNetwork) -> IntegralFlow:
 def _test_x(
     g: Graph, x: int, start: Orientation, objective: str, hall: list[int]
 ) -> Orientation | None:
-    """Probe target x; on failure fill ``hall`` with a violated node set."""
+    """Probe target x; on failure fill ``hall`` with a violated node set.
+
+    Two Hall sets need no max flow: one node whose demand exceeds its
+    degree, and the counting case V itself, whose demand exceeds the m
+    edges exactly when the slacks, which sum to m - Σ demand, sum below 0.
+    """
     slacks, indeg = _slacks(g, start.head, x, objective)
     for v, (s, d) in enumerate(zip(slacks, indeg)):
         if s < -d:
             # demand > degree: v cannot own enough edges even if it owns all of them
             hall[:] = [v]
             return None
+    if sum(slacks) < 0:
+        hall[:] = range(g.n)
+        return None
     if all(s >= 0 for s in slacks):
         return start
     tip = list(start.head)

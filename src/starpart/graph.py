@@ -66,6 +66,11 @@ def other_end(edge: tuple[int, ...], v: int) -> int:
     return edge[1] if v == edge[0] else edge[0]
 
 
+def _require_ind_kind(g: Graph) -> None:
+    if g.kind is not GraphKind.SIMPLE:
+        raise UnsupportedKind("the indegree objective needs a simple graph")
+
+
 def max_edge_size(g: Graph) -> int:
     """Largest edge cardinality (2 for simple graphs, 0 if edgeless)."""
     return max((len(e) for e in g.edges), default=0)

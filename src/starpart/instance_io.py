@@ -21,11 +21,14 @@ stable and re-parse to field-identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .coloring import INFEASIBLE, PartialColoring
 from .errors import ParseError
 from .graph import Graph, GraphKind, build_graph, max_degree
-from .weighted import BinPackingInstance
+
+if TYPE_CHECKING:  # parse_binpack imports it when called: parsing graphs needs no weighted code
+    from .weighted import BinPackingInstance
 
 _KIND_NAMES = {k.value: k for k in GraphKind}
 
@@ -196,6 +199,8 @@ def format_solution(inst: Instance, coloring: PartialColoring | None, value: int
 
 
 def parse_binpack(text: str) -> BinPackingInstance:
+    from .weighted import BinPackingInstance
+
     bins = capacity = None
     sizes: list[int] = []
     for lineno, parts in _content_lines(text):

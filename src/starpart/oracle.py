@@ -24,11 +24,10 @@ from math import prod
 from .coloring import INFEASIBLE, Orientation, PartialColoring, SolveResult, pseudoforest_heads
 from .errors import InvalidSpec, TooLarge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, capacities_bind, max_degree, other_end
-from .weighted import _check_pairs
+from .weighted import _WEIGHTED_GUARD, _check_pairs
 
 _EDGE_GUARD = 22
 _ASSIGNMENT_GUARD = 1 << 24
-_WEIGHTED_GUARD = 24
 _BLOCK = 1 << 16
 
 #: Fixed 7-node, 11-edge benchmark graph (optimum 3).

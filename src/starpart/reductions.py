@@ -25,11 +25,17 @@ from .coloring import (
     orientation_to_owner,
     owner_to_orientation,
 )
-from .dfs_solver import minimum_star_coloring
 from .errors import CapacitiesPresent, InvalidColoring, UnsupportedKind
 from .flow_solver import minimum_star_coloring_flow, solve_flow_seeded
-from .graph import Graph, GraphKind, build_graph, capacities_bind, extract_self_loops, merge_parallel_edges
-from .oracle import brute_force_kstar, brute_force_weighted, brute_force_xstar
+from .graph import (
+    Graph,
+    GraphKind,
+    _require_ind_kind,
+    build_graph,
+    capacities_bind,
+    extract_self_loops,
+    merge_parallel_edges,
+)
 
 #: An indegree instance is just a capacitated graph.
 IndInstance = Graph
@@ -90,6 +96,12 @@ def max_indegree(g: Graph, orientation: Orientation) -> int:
     return max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind"), default=0)
 
 
+def _dfs(g: Graph) -> SolveResult:
+    from .dfs_solver import minimum_star_coloring  # only DFS solves load it
+
+    return minimum_star_coloring(g)
+
+
 def _solve_ind(g: Graph, algo: str) -> SolveResult:
     # Min-max indegree with the tails as owners.  The dfs owners are read
     # off the pendant coloring once recover_ind_solution has checked it.
@@ -98,7 +110,7 @@ def _solve_ind(g: Graph, algo: str) -> SolveResult:
     if algo != "dfs":
         raise ValueError(f"unknown algo {algo!r}")
     red = ind_to_star(g)
-    res = minimum_star_coloring(red.reduced)
+    res = _dfs(red.reduced)
     if not res.feasible:
         return res
     recover_ind_solution(red, res.coloring)
@@ -141,7 +153,7 @@ def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
         simple = _attach_pendants(plain, sorted({v for v, _ in loops}), plain.capacities)
     else:
         raise UnsupportedKind("preprocess_and_solve expects kind multi or selfloop")
-    res = minimum_star_coloring_flow(simple) if algo == "flow" else minimum_star_coloring(simple)
+    res = minimum_star_coloring_flow(simple) if algo == "flow" else _dfs(simple)
     if not res.feasible:
         return res
     if g.kind is GraphKind.MULTI:
@@ -150,11 +162,6 @@ def preprocess_and_solve(g: Graph, algo: str = "dfs") -> SolveResult:
     owners = iter(res.coloring.owner)
     owner = tuple(nodes[0] if len(nodes) == 1 else next(owners) for nodes in g.edges)
     return SolveResult(res.value, PartialColoring(owner))
-
-
-def _require_ind_kind(g: Graph) -> None:
-    if g.kind is not GraphKind.SIMPLE:
-        raise UnsupportedKind("the indegree objective needs a simple graph")
 
 
 def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
@@ -180,6 +187,8 @@ def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
             "see the approx command for the polynomial route"
         )
     if algo == "oracle":
+        from .oracle import brute_force_kstar, brute_force_weighted, brute_force_xstar
+
         if weighted:
             value, orientation = brute_force_weighted(g, g.weights, objective)
         elif objective == "ind":
@@ -191,7 +200,7 @@ def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
         return _solve_ind(g, algo)
     if g.kind in (GraphKind.MULTI, GraphKind.WITH_SELF_LOOPS):
         return preprocess_and_solve(g, algo)
-    return minimum_star_coloring(g) if algo == "dfs" else minimum_star_coloring_flow(g)
+    return _dfs(g) if algo == "dfs" else minimum_star_coloring_flow(g)
 
 
 def simultaneous_optimum(g: Graph) -> tuple[Orientation, int, int]:

@@ -19,6 +19,9 @@ from .errors import CapacitiesPresent, NoOutgoingEdge, UnsupportedKind
 from .graph import Graph, GraphKind, build_graph, capacities_bind
 from .lp import find_basic_feasible
 
+#: Largest edge count that ``oracle.brute_force_weighted`` enumerates.
+_WEIGHTED_GUARD = 24
+
 
 def _check_pairs(g: Graph) -> None:
     # distinct in-neighbors mean distinct stars only on simple graphs

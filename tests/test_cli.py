@@ -498,6 +498,40 @@ def test_import_and_verify_leave_numpy_unloaded(tmp_path):
     assert proc.stdout.splitlines() == ["False", "ok value 1", "0 False"]
 
 
+def test_each_command_loads_only_its_modules(tmp_path):
+    # one fresh interpreter per command; no argv is a bare 'import starpart'
+    paths = {name: str(tmp_path / name) for name in ("path.graph", "path.sol", "h.hyper", "m25.graph")}
+    (tmp_path / "path.graph").write_text("kind simple\nnode a\nnode b\nnode c\nedge a b\nedge b c\n")
+    (tmp_path / "path.sol").write_text("owner 0 b\nowner 1 b\nvalue 1\n")
+    h = generate(GeneratorSpec("hyper", n=12, m=10, seed=3))
+    (tmp_path / "h.hyper").write_text(
+        format_instance(Instance(graph=h, node_names=tuple(f"v{v}" for v in range(h.n))))
+    )
+    g = generate(GeneratorSpec("random", n=10, m=25, seed=3))  # past the weighted guard
+    lines = [f"node v{v} w={1 + v % 3}" for v in range(g.n)] + [f"edge v{a} v{b}" for a, b in g.edges]
+    (tmp_path / "m25.graph").write_text("kind simple\n" + "\n".join(lines) + "\n")
+    io = {"cli", "coloring", "errors", "graph", "instance_io"}
+    solve = io | {"reductions", "flow_solver"}
+    cases = [
+        ([], set()),
+        (["verify", paths["path.graph"], paths["path.sol"]], io),
+        (["solve", paths["path.graph"]], solve),
+        (["solve", paths["h.hyper"], "--algo", "dfs"], solve | {"dfs_solver"}),
+        (["approx", paths["m25.graph"], "--objective", "wind"], io | {"weighted", "lp"}),
+    ]
+    code = (
+        "import sys, starpart\n"
+        "if sys.argv[1:]:\n"
+        "    import starpart.cli\n"
+        "    assert starpart.cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m[len('starpart.'):] for m in sys.modules if m.startswith('starpart.')))\n"
+    )
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.splitlines()[-1].split()) == expected, argv
+
+
 @pytest.mark.parametrize("approx_objective, verify_objective", [("wind", "ind"), ("wstar", "star")])
 def test_approx_out_verifies(tmp_path, capsys, approx_objective, verify_objective):
     inst = tmp_path / "weighted.graph"

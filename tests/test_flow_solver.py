@@ -436,7 +436,6 @@ def test_ind_cli_solves_planted_capacities_on_the_original_graph(monkeypatch, tm
         raise AssertionError("the flow path must not build the pendant graph")
 
     monkeypatch.setattr(reductions, "ind_to_star", forbidden)
-    monkeypatch.setattr(cli, "ind_to_star", forbidden)
     calls = []
     probe = flow_solver._test_x
 
