@@ -138,7 +138,7 @@ def cmd_solve(args) -> int:
 
     inst = parse_instance(_read(args.instance))
     res = solve(inst.graph, args.objective, args.algo)
-    print("value " + ("INFEASIBLE" if res.value == INFEASIBLE else str(int(res.value))))
+    print(format_solution(inst, None, res.value), end="")
     if args.out:
         _write(args.out, format_solution(inst, res.coloring, res.value))
     return EXIT_OK
@@ -227,7 +227,7 @@ def cmd_reduce(args) -> int:
         from .weighted import gadget_transform
 
         inst = parse_instance(_read(args.input))
-        red = gadget_transform(inst.graph, inst.graph.weights, args.k)
+        red = gadget_transform(inst.graph, args.k)
         taken = set(inst.node_names)
         names = list(inst.node_names)
         suffixes = [".r1", ".r2", ".r3", ".r4", ".a", ".r1a", ".r2a", ".r3a", ".r4a"]
@@ -354,7 +354,7 @@ def cmd_approx(args) -> int:
     if g.m <= _WEIGHTED_GUARD:
         from .oracle import brute_force_weighted
 
-        optimum, _ = brute_force_weighted(g, g.weights, objective)
+        optimum, _ = brute_force_weighted(g, objective)
         print(f"optimum {optimum}")
         ratio = value / optimum if optimum else 1.0
         print(f"ratio {ratio:.3f}")

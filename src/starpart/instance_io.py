@@ -20,7 +20,7 @@ stable and re-parse to field-identical graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .coloring import INFEASIBLE, PartialColoring
@@ -109,18 +109,11 @@ def parse_instance(text: str) -> Instance:
     if not names:
         raise ParseError(1, "instance declares no nodes")
 
-    cap_list = None
-    if caps:
-        # Unspecified capacities default to the maximum degree; edges are
-        # normalized, so a loop 'v v' counts once, as in build_graph.
-        deg = [0] * len(names)
-        for e in edges:
-            for v in e:
-                deg[v] += 1
-        delta = max(deg)
-        cap_list = [caps.get(v, delta) for v in range(len(names))]
     weight_list = [weights.get(v, 1) for v in range(len(names))] if weights else None
-    graph = build_graph(len(names), edges, kind, cap_list, weight_list)
+    graph = build_graph(len(names), edges, kind, None, weight_list)
+    if caps:  # unspecified capacities keep build_graph's default, the maximum degree
+        delta = graph.capacities[0]
+        graph = replace(graph, capacities=tuple(caps.get(v, delta) for v in range(graph.n)))
     return Instance(graph=graph, node_names=tuple(names))
 
 

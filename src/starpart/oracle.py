@@ -121,18 +121,19 @@ def brute_force_kstar(g: Graph) -> tuple[int | float, Orientation | None]:
     return found[0], Orientation(tuple(map(other_end, g.edges, found[1])))
 
 
-def brute_force_weighted(g: Graph, weights, objective: str) -> tuple[int, Orientation]:
+def brute_force_weighted(g: Graph, objective: str) -> tuple[int, Orientation]:
     """Exact minimum of the chosen objective over all orientations.
 
-    ``objective`` is "ind" or "star".  The weighted problems carry no
-    capacities, so every orientation is admissible.
+    ``objective`` is "ind" or "star", and nodes weigh ``g.weights``.  The
+    weighted problems carry no capacities, so every orientation is
+    admissible.
     """
     _check_pairs(g)
     if objective not in ("ind", "star"):
         raise ValueError(f"unknown objective {objective!r}")
     if g.m > _WEIGHTED_GUARD:
         raise TooLarge(f"{g.m} edges exceed the enumeration guard {_WEIGHTED_GUARD}")
-    value, owners = _least_owner(g, objective, weights)
+    value, owners = _least_owner(g, objective, g.weights)
     return value, Orientation(tuple(map(other_end, g.edges, owners)))
 
 

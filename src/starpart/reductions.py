@@ -37,9 +37,6 @@ from .graph import (
     merge_parallel_edges,
 )
 
-#: An indegree instance is just a capacitated graph.
-IndInstance = Graph
-
 
 @dataclass(frozen=True)
 class PendantReduction:
@@ -66,7 +63,7 @@ def _attach_pendants(g: Graph, nodes, caps) -> Graph:
     return build_graph(g.n + k, edges, GraphKind.SIMPLE, list(caps) + [1] * k, weights)
 
 
-def ind_to_star(inst: IndInstance) -> PendantReduction:
+def ind_to_star(inst: Graph) -> PendantReduction:
     """Linear-time reduction; the star optimum is the indegree optimum plus one."""
     caps = [c + 1 for c in inst.capacities]
     return PendantReduction(original=inst, reduced=_attach_pendants(inst, range(inst.n), caps))
@@ -118,7 +115,7 @@ def _solve_ind(g: Graph, algo: str) -> SolveResult:
 
 
 def solve_min_max_ind(
-    inst: IndInstance, algo: str = "flow"
+    inst: Graph, algo: str = "flow"
 ) -> tuple[int | float, Orientation | None]:
     """Optimal capacity-feasible orientation minimizing the max indegree.
 
@@ -190,7 +187,7 @@ def solve(g: Graph, objective: str = "star", algo: str = "auto") -> SolveResult:
         from .oracle import brute_force_kstar, brute_force_weighted, brute_force_xstar
 
         if weighted:
-            value, orientation = brute_force_weighted(g, g.weights, objective)
+            value, orientation = brute_force_weighted(g, objective)
         elif objective == "ind":
             value, orientation = brute_force_kstar(g)
         else:

@@ -7,6 +7,8 @@ so this module provides the two hardness reductions (weighted indegree
 -> weighted star via a forcing gadget, bin packing -> weighted indegree
 via a complete bipartite graph) and LP-rounding approximations with
 factors 2 and 4; the exact brute force is ``oracle.brute_force_weighted``.
+Every function reads the weights w of (G, w) from ``g.weights``, which
+``build_graph`` has checked to be one positive int per node.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class GadgetReduction:
     """
 
     original: Graph
-    weights: tuple[int, ...]
     bound: int
     big: int  # the constant M = bound + 2 * max weight
     reduced: Graph
@@ -59,7 +60,7 @@ class GadgetReduction:
         return self.big + self.bound
 
 
-def gadget_transform(g: Graph, weights, k: int) -> GadgetReduction:
+def gadget_transform(g: Graph, k: int) -> GadgetReduction:
     """Reduce the weighted indegree decision at bound k to weighted star.
 
     YES at bound k on the original is equivalent to YES at bound M + k on
@@ -68,7 +69,7 @@ def gadget_transform(g: Graph, weights, k: int) -> GadgetReduction:
     _check_pairs(g)
     if k < 1:
         raise ValueError("the bound k must be at least 1")
-    weights = tuple(int(x) for x in weights)
+    weights = g.weights
     big = k + 2 * max(weights)
     n = g.n
     new_weights = list(weights)
@@ -93,7 +94,6 @@ def gadget_transform(g: Graph, weights, k: int) -> GadgetReduction:
     reduced = build_graph(next_id, edges, GraphKind.SIMPLE, weights=new_weights)
     return GadgetReduction(
         original=g,
-        weights=weights,
         bound=k,
         big=big,
         reduced=reduced,
@@ -188,12 +188,11 @@ class FractionalOrientation:
 
     ``fractions[e][i]`` is the share of edge e assigned to its i-th
     endpoint (sorted order); assigning a share to an endpoint loads it
-    with the other endpoint's weight.  ``limit`` is the load bound the LP
-    was solved at.
+    with the other endpoint's weight in ``graph.weights``.  ``limit`` is
+    the load bound the LP was solved at.
     """
 
     graph: Graph
-    weights: tuple[int, ...]
     limit: int
     fractions: tuple[tuple[Fraction, Fraction], ...]
 
@@ -202,35 +201,32 @@ class FractionalOrientation:
         for e in self.graph.incidence[v]:
             lo, hi = self.graph.edges[e]
             i, other = (0, hi) if v == lo else (1, lo)
-            total += self.fractions[e][i] * self.weights[other]
+            total += self.fractions[e][i] * self.graph.weights[other]
         return total
 
 
-def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
+def lp_feasible(g: Graph, limit: int) -> FractionalOrientation | None:
     """Basic feasible point of the load LP at the given limit, if any.
 
     Each edge's two shares are non-negative and sum to one, a share is
     forbidden outright when its cost alone exceeds the limit, and every
-    node's load stays within the limit.  A free edge (lo, hi) is one LP
-    column, its share x at lo: lo's row carries w[hi] x and hi's row
-    w[lo] (1 - x).  Scaling node r's row by w[r] turns that column into
-    {lo: W, hi: -W} with W = w[lo] w[hi], so the LP is a max flow in which
-    the edge carries y = W x from lo to hi (``lp.find_basic_feasible``).
-    The share at lo is the exact y / W, and the strictly fractional edges
-    form a forest.  Weights must be positive.
+    node's load stays within the limit.  A free edge (lo, hi) with share x
+    at lo loads lo by w[hi] x and hi by w[lo] (1 - x).  Scaling node r's
+    row by w[r] makes both terms multiples of W = w[lo] w[hi], so the edge
+    is an arc lo -> hi of capacity W carrying y = W x, and the LP is a max
+    flow (``lp.find_basic_feasible``).  The share at lo is the exact
+    y / W, and the strictly fractional edges form a forest.
     """
     _check_pairs(g)
-    weights = tuple(int(x) for x in weights)
-    if min(weights, default=1) < 1:
-        raise ValueError("the load LP needs positive weights")
+    weights = g.weights
     room = [w * limit for w in weights]  # each node's scaled room for the edges it must take
-    cols, free, carried = [], [], [0] * g.n
+    free, caps, carried = [], [], [0] * g.n
     for e, (lo, hi) in enumerate(g.edges):
         ok_lo, ok_hi = weights[hi] <= limit, weights[lo] <= limit  # cost of assigning to lo / hi
         both = weights[lo] * weights[hi]
         if ok_lo and ok_hi:
             free.append(e)
-            cols.append({lo: both, hi: -both})
+            caps.append(both)
             carried[hi] += both  # hi's scaled row carries W (1 - x)
         elif ok_lo or ok_hi:
             room[lo if ok_lo else hi] -= both
@@ -238,14 +234,15 @@ def lp_feasible(g: Graph, weights, limit: int) -> FractionalOrientation | None:
             return None
     if any(b < 0 for b in room):  # forced costs alone exceed the limit
         return None
-    shares = find_basic_feasible(cols, [b - c for b, c in zip(room, carried)])
+    arcs = [g.edges[e] for e in free]  # free edge (lo, hi) is the arc lo -> hi
+    shares = find_basic_feasible(arcs, caps, [b - c for b, c in zip(room, carried)])
     if shares is None:
         return None
     to_lo, to_hi = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
     fractions = [to_lo if weights[hi] <= limit else to_hi for lo, hi in g.edges]
     for e, x in zip(free, shares):
         fractions[e] = (x, 1 - x)
-    return FractionalOrientation(g, weights, limit, tuple(fractions))
+    return FractionalOrientation(g, limit, tuple(fractions))
 
 
 def round_fractional(frac: FractionalOrientation) -> Orientation:
@@ -269,7 +266,7 @@ def round_fractional(frac: FractionalOrientation) -> Orientation:
 # --- approximation algorithms ------------------------------------------------
 
 
-def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
+def approx2_wind(g: Graph) -> tuple[Orientation, int]:
     """2-approximation of the optimal weighted max indegree.
 
     Binary search for the smallest LP-feasible load limit, then round the
@@ -278,7 +275,7 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
     exceeds the optimum.
     """
     _check_pairs(g)
-    w = tuple(weights) if weights is not None else g.weights
+    w = g.weights
     if g.m == 0:
         return Orientation(()), 0
     lo = max(min(w[a], w[b]) for a, b in g.edges)
@@ -291,11 +288,11 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
         else:
             load[b] += w[a]
     hi = max(load)
-    frac = lp_feasible(g, w, hi)
+    frac = lp_feasible(g, hi)
     assert frac is not None, "the load LP is feasible at an integral orientation's value"
     while lo < hi:
         mid = (lo + hi) // 2
-        cand = lp_feasible(g, w, mid)
+        cand = lp_feasible(g, mid)
         if cand is None:
             lo = mid + 1
         else:
@@ -304,16 +301,15 @@ def approx2_wind(g: Graph, weights=None) -> tuple[Orientation, int]:
     return orientation, max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind", w))
 
 
-def approx4_wstar(g: Graph, weights=None) -> tuple[PartialColoring, int]:
+def approx4_wstar(g: Graph) -> tuple[PartialColoring, int]:
     """4-approximation of the optimal weighted star value.
 
     Reads the 2-approximate indegree orientation as a coloring: a node
     with any outgoing edge weighs no more than the heaviest load, so the
     star value is at most twice the indegree value pointwise.
     """
-    w = tuple(weights) if weights is not None else g.weights
-    orientation, _ = approx2_wind(g, w)
+    orientation, _ = approx2_wind(g)
     if g.m == 0:
         return PartialColoring(()), 0
     coloring = orientation_to_owner(g, orientation)
-    return coloring, max(node_loads(g, coloring.owner, "star", w))
+    return coloring, max(node_loads(g, coloring.owner, "star", g.weights))

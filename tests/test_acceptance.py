@@ -425,8 +425,8 @@ def test_criterion_7_gadget_reduction():
     checked = 0
     for w_v in (1, 2, 3):
         for k in (1, 2, 3, 4):
-            g = build_graph(1, [])
-            red = gadget_transform(g, (w_v,), k)
+            g = build_graph(1, [], weights=[w_v])
+            red = gadget_transform(g, k)
             anchor = red.gadget_nodes[0][4]
             weights = red.reduced.weights
             feasible = 0
@@ -460,7 +460,7 @@ def test_criterion_7_gadget_reduction():
     for n, edges in shapes:
         for weights in itertools.product((1, 2, 3), repeat=n):
             g = build_graph(n, edges, weights=weights)
-            optimum, _ = brute_force_weighted(g, weights, "ind")
+            optimum, _ = brute_force_weighted(g, "ind")
             for k in range(1, 7):
                 assert (optimum <= k) == gadget_reduced_yes(g, weights, k), (
                     edges,
@@ -516,7 +516,7 @@ def test_criterion_8_binpacking_reduction():
     bp = BinPackingInstance(sizes=(1, 1, 3, 6, 8, 9), bins=3, capacity=10)
     g, threshold = binpacking_to_wind(bp)
     assert g.weights == (2, 2, 6, 12, 16, 18, 10, 10, 10) and threshold == 20
-    value, orientation = brute_force_weighted(g, g.weights, "ind")
+    value, orientation = brute_force_weighted(g, "ind")
     assert value <= threshold
     packing = extract_packing(bp, orientation)
     loads = [0, 0, 0]
@@ -535,7 +535,7 @@ def test_criterion_8_binpacking_reduction():
                     gb, thr = binpacking_to_wind(
                         BinPackingInstance(sizes=sizes, bins=kbins, capacity=capacity)
                     )
-                    best, _ = brute_force_weighted(gb, gb.weights, "ind")
+                    best, _ = brute_force_weighted(gb, "ind")
                     assert (best <= thr) == packable, (sizes, kbins, capacity)
                     cases += 1
                     yes += packable
@@ -560,10 +560,10 @@ def test_criterion_9_approximation_bounds():
         base = generate(GeneratorSpec("random", n=n, m=m, seed=5000 + count))
         weights = tuple(rng.randint(1, 9) for _ in range(n))
         g = build_graph(n, base.edges, weights=weights)
-        k_opt, _ = brute_force_weighted(g, weights, "ind")
-        x_opt, _ = brute_force_weighted(g, weights, "star")
-        _, value = approx2_wind(g, weights)
-        _, star_value = approx4_wstar(g, weights)
+        k_opt, _ = brute_force_weighted(g, "ind")
+        x_opt, _ = brute_force_weighted(g, "star")
+        _, value = approx2_wind(g)
+        _, star_value = approx4_wstar(g)
         assert k_opt <= value <= 2 * k_opt, (base.edges, weights)
         assert x_opt <= star_value <= 4 * x_opt, (base.edges, weights)
         worst_ind = max(worst_ind, value / k_opt)

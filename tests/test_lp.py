@@ -12,54 +12,52 @@ F = Fraction
 
 
 def test_equalities_only():
-    # 3 x0 <= 1 and 4 x1 <= 1, while 3 x0 + 4 x1 >= 2 turns both into equalities:
-    # a tree of rows r0 - x0 - r1 - x1 - r2 with one feasible point
-    solution = find_basic_feasible([{0: 3, 1: -3}, {1: -4, 2: 4}], [1, -2, 1])
+    # arcs 0 -> 1 of capacity 3 and 2 -> 1 of capacity 4: nodes 0 and 2 send at
+    # most 1 each and node 1 must take 2, so both flows are 1, on a tree of arcs
+    solution = find_basic_feasible([(0, 1), (2, 1)], [3, 4], [1, -2, 1])
     assert solution == [F(1, 3), F(1, 4)]
     assert all(type(x) is Fraction for x in solution)
 
 
 def test_infeasible_system():
-    # x0 <= -1 with x0 >= 0
-    assert find_basic_feasible([{0: 1}], [-1]) is None
+    # node 1 must take 1 over the arc 0 -> 1, but node 0 may send nothing
+    assert find_basic_feasible([(0, 1)], [1], [0, -1]) is None
 
 
 def test_negative_rhs_inequality():
-    # -x0 <= -1 forces x0 = 1
-    assert find_basic_feasible([{0: -1}], [-1]) == [F(1)]
+    # node 0's net outflow at most -1 fills its one in-arc of capacity 1
+    assert find_basic_feasible([(1, 0)], [1], [-1, 1]) == [F(1)]
 
 
 def test_flow_cycle_is_pivoted_to_a_forest(monkeypatch):
-    # rows 2 and 3 supply 2 and 3, rows 0 and 1 demand 3 and 1 (column {3: 3, 0: -3}
-    # is an arc 3 -> 0 of capacity 3); the max flow sends 1 along 3 -> 0, 2 along
-    # 2 -> 0 and 1 along 3 -> 2, open columns on the cycle 0-3-2, and one push of 1
-    # round it closes 3 -> 0 and 3 -> 2
+    # nodes 2 and 3 supply 2 and 3, nodes 0 and 1 demand 3 and 1; the max flow
+    # sends 1 along 3 -> 0, 2 along 2 -> 0 and 1 along 3 -> 2, open arcs on the
+    # cycle 0-3-2, and one push of 1 round it closes 3 -> 0 and 3 -> 2
     cycles = []
     pivot = lp._pivot
     monkeypatch.setattr(lp, "_pivot", lambda *args: cycles.append(args[-1]) or pivot(*args))
-    cols = [{3: 3, 0: -3}, {2: 4, 0: -4}, {3: 2, 2: -2}, {2: 1, 1: -1}]
-    point = find_basic_feasible(cols, [-3, -1, 2, 3])
+    point = find_basic_feasible([(3, 0), (2, 0), (3, 2), (2, 1)], [3, 4, 2, 1], [-3, -1, 2, 3])
     assert point == [F(0), F(3, 4), F(1), F(1)]
     assert cycles == [[0, 2, 1]]
     assert [j for j, x in enumerate(point) if 0 < x < 1] == [1]
 
 
 def test_no_rows_returns_origin():
-    assert find_basic_feasible([], []) == []
-    assert find_basic_feasible([], [0, 2]) == []
-    assert find_basic_feasible([], [1, -1]) is None
+    assert find_basic_feasible([], [], []) == []
+    assert find_basic_feasible([], [], [0, 2]) == []
+    assert find_basic_feasible([], [], [1, -1]) is None
 
 
 @pytest.mark.parametrize("n, weights, limit", [(4, (2, 2, 1, 1), 2), (6, (7, 9, 7, 3, 7, 9), 17)])
 def test_infeasible_complete_graphs(n, weights, limit):
     # infeasible although no node's forced costs alone exceed the limit
     g = build_graph(n, list(itertools.combinations(range(n), 2)), weights=list(weights))
-    assert lp_feasible(g, weights, limit) is None
+    assert lp_feasible(g, limit) is None
 
 
 def test_forced_costs_over_the_limit_skip_the_max_flow(monkeypatch):
     # edges 01 and 02 must go to node 0 (w0 = 9 > 5), which then carries 3 + 3 > 5;
-    # edge 12 stays free, so the LP has a column
+    # edge 12 stays free, so the LP has an arc
     calls = []
     max_flow = lp._max_flow
 
@@ -69,7 +67,7 @@ def test_forced_costs_over_the_limit_skip_the_max_flow(monkeypatch):
 
     monkeypatch.setattr(lp, "_max_flow", recorded)
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)], weights=[9, 3, 3])
-    assert lp_feasible(g, (9, 3, 3), 5) is None
+    assert lp_feasible(g, 5) is None
     assert calls == []
 
 
@@ -82,7 +80,7 @@ def test_pivot_rules_agree_on_feasibility():
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
         limit = rng.randint(1, sum(w))
-        frac = lp_feasible(g, w, limit)
+        frac = lp_feasible(g, limit)
         if frac is None:
             continue
         for v in range(n):
@@ -101,7 +99,7 @@ def test_basic_solutions_have_pseudoforest_support():
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
         limit = rng.randint(max(min(w[a], w[b]) for a, b in g.edges), sum(w))
-        frac = lp_feasible(g, w, limit)
+        frac = lp_feasible(g, limit)
         if frac is None:
             continue
         parent = list(range(n))
@@ -135,7 +133,7 @@ def test_lp_monotone_in_limit():
         g0 = generate(GeneratorSpec("random", n=n, m=m, seed=200 + trial))
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
-        flags = [lp_feasible(g, w, t) is not None for t in range(0, sum(w) + 1)]
+        flags = [lp_feasible(g, t) is not None for t in range(0, sum(w) + 1)]
         assert flags == sorted(flags)
         assert flags[-1]
 
@@ -173,7 +171,7 @@ def test_exact_vertex_on_heavy_weights():
         g = build_graph(n, g0.edges, weights=w)
 
         def feasible(limit):
-            frac = lp_feasible(g, w, limit)
+            frac = lp_feasible(g, limit)
             if frac is None:
                 return False
             assert all(frac.load(v) <= limit for v in range(n))
@@ -196,25 +194,12 @@ def test_exact_vertex_on_heavy_weights():
         assert flags == sorted(flags)
         assert feasible(least) and (least == 0 or not feasible(least - 1))
         if m <= 12:
-            assert least <= brute_force_weighted(g, w, "ind")[0]
+            assert least <= brute_force_weighted(g, "ind")[0]
 
 
 def test_identical_columns_give_a_vertex():
-    # x0 + x1 = 1: the midpoint is feasible, but not a vertex
-    assert find_basic_feasible([{0: 1, 1: -1}, {0: 1, 1: -1}], [1, -1]) in ([F(1), F(0)], [F(0), F(1)])
-
-
-@pytest.mark.parametrize("col", [{0: 1, 1: 1}, {0: 2, 1: -1}, {0: 1, 1: -1, 2: 1}, {0: 0}, {}])
-def test_non_network_column_is_refused(col):
-    with pytest.raises(ValueError):
-        find_basic_feasible([col], [1, 1, 1])
-
-
-def test_non_positive_weights_are_refused():
-    # scaling a row by a zero weight would drop that node's load limit
-    g = build_graph(3, [(0, 1), (1, 2)], weights=[1, 1, 1])
-    with pytest.raises(ValueError):
-        lp_feasible(g, (1, 0, 1), 5)
+    # two unit arcs 0 -> 1 carry 1 in all: the midpoint is feasible, but not a vertex
+    assert find_basic_feasible([(0, 1), (0, 1)], [1, 1], [1, -1]) in ([F(1), F(0)], [F(0), F(1)])
 
 
 def _highs_feasible(g, w, limit):
@@ -245,7 +230,7 @@ def test_least_limit_matches_highs(wmax):
         g = build_graph(n, g0.edges, weights=w)
 
         def feasible(limit):
-            frac = lp_feasible(g, w, limit)
+            frac = lp_feasible(g, limit)
             if frac is None:
                 return False
             assert all(type(f) is Fraction and f >= 0 for pair in frac.fractions for f in pair)
@@ -271,4 +256,39 @@ def test_least_limit_matches_highs(wmax):
         # both LPs grow with the limit, so they agree on the least one
         assert feasible(lo) and _highs_feasible(g, w, lo) and not _highs_feasible(g, w, lo - 1)
         if m <= 12:
-            assert lo <= brute_force_weighted(g, w, "ind")[0]
+            assert lo <= brute_force_weighted(g, "ind")[0]
+
+
+def test_approx_at_scale_rounds_at_the_least_feasible_limit(monkeypatch):
+    # 400 nodes, 2000 edges, weights 1..1000: the max flows leave cycles of open
+    # arcs, so the pivots run, and approx2_wind rounds the point at the least limit
+    from starpart import approx2_wind, node_loads, orientation_to_owner, weighted
+
+    points, pivots = [], []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args[-1]) or pivot(*args))
+    monkeypatch.setattr(weighted, "lp_feasible", lambda *args: points.append(lp_feasible(*args)) or points[-1])
+    rng = random.Random(131)
+    g0 = generate(GeneratorSpec("random", n=400, m=2000, seed=11))
+    w = [rng.randint(1, 1000) for _ in range(400)]
+    g = build_graph(400, g0.edges, weights=w)
+    orientation, value = approx2_wind(g)
+    final = [frac for frac in points if frac is not None][-1]
+    least = final.limit
+    assert value == max(node_loads(g, orientation_to_owner(g, orientation).owner, "ind", w))
+    assert value <= 2 * least
+    assert lp_feasible(g, least - 1) is None
+    assert _highs_feasible(g, w, least) and not _highs_feasible(g, w, least - 1)
+    assert pivots
+    parent = list(range(g.n))  # the open edges form a forest
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, (a, b) in enumerate(g.edges):
+        if 0 < final.fractions[e][0] < 1:
+            assert find(a) != find(b)
+            parent[find(a)] = find(b)

@@ -62,7 +62,7 @@ def random_graph(rng, kind, capped=False, weighted=False):
 def per_solver_value(g, objective, algo):
     """The optimum from the solver function that ``solve`` should pick."""
     if any(w != 1 for w in g.weights):
-        return brute_force_weighted(g, g.weights, objective)[0]
+        return brute_force_weighted(g, objective)[0]
     if objective == "ind":
         return brute_force_kstar(g)[0] if algo == "oracle" else solve_min_max_ind(g, algo)[0]
     if algo == "oracle":
@@ -121,7 +121,7 @@ def test_solve_weighted_graphs_only_by_the_oracle():
                 with pytest.raises(UnsupportedKind, match="--algo oracle"):
                     solve(g, objective, algo)
             res = solve(g, objective, "oracle")
-            assert res.value == brute_force_weighted(g, g.weights, objective)[0]
+            assert res.value == brute_force_weighted(g, objective)[0]
             check_witness(g, objective, res)
 
 

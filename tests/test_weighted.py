@@ -72,27 +72,27 @@ def test_star_value_cases():
 
 def test_brute_force_weighted_single_edge():
     g = build_graph(2, [(0, 1)], weights=[4, 7])
-    assert brute_force_weighted(g, (4, 7), "ind")[0] == 4
-    assert brute_force_weighted(g, (4, 7), "star")[0] == 4
+    assert brute_force_weighted(g, "ind")[0] == 4
+    assert brute_force_weighted(g, "star")[0] == 4
 
 
 def test_brute_force_weighted_unit_weights_match_unweighted(triangle):
-    assert brute_force_weighted(triangle, (1, 1, 1), "ind")[0] == brute_force_kstar(triangle)[0]
-    assert brute_force_weighted(triangle, (1, 1, 1), "star")[0] == brute_force_xstar(triangle).value
+    assert brute_force_weighted(triangle, "ind")[0] == brute_force_kstar(triangle)[0]
+    assert brute_force_weighted(triangle, "star")[0] == brute_force_xstar(triangle).value
 
 
 def test_brute_force_weighted_guard():
     path = build_graph(26, [(i, i + 1) for i in range(25)])
     with pytest.raises(TooLarge):
-        brute_force_weighted(path, path.weights, "ind")
+        brute_force_weighted(path, "ind")
 
 
 # --- gadget reduction --------------------------------------------------------
 
 
 def test_gadget_shape_and_weights():
-    g = build_graph(1, [])
-    red = gadget_transform(g, (3,), 2)
+    g = build_graph(1, [], weights=[3])
+    red = gadget_transform(g, 2)
     assert red.big == 8 and red.threshold == 10
     assert red.reduced.n == 10 and red.reduced.m == 10
     v1, v2, v3, v4 = red.gadget_nodes[0][:4]
@@ -101,13 +101,13 @@ def test_gadget_shape_and_weights():
     assert w[v2] == w[v3] == 5
     assert all(w[a] == 11 for a in red.gadget_nodes[0][4:])
     # per node: nine fresh nodes and ten fresh edges
-    two = gadget_transform(build_graph(2, [(0, 1)], weights=[1, 2]), (1, 2), 1)
+    two = gadget_transform(build_graph(2, [(0, 1)], weights=[1, 2]), 1)
     assert two.reduced.n == 2 + 18 and two.reduced.m == 1 + 20
 
 
 def test_gadget_forces_both_edges():
-    g = build_graph(1, [])
-    red = gadget_transform(g, (3,), 2)
+    g = build_graph(1, [], weights=[3])
+    red = gadget_transform(g, 2)
     w = red.reduced.weights
     anchor_of_v = red.gadget_nodes[0][4]
     feasible = 0
@@ -127,8 +127,8 @@ def test_gadget_forces_both_edges():
 def test_gadget_canonical_orientation_hits_threshold():
     for w_v in (1, 2, 3):
         for k in (1, 2, 4):
-            g = build_graph(1, [])
-            red = gadget_transform(g, (w_v,), k)
+            g = build_graph(1, [], weights=[w_v])
+            red = gadget_transform(g, k)
             orientation = gadget_orientation(red, Orientation(()))
             assert reduced_star_value(red.reduced, orientation) <= red.threshold
 
@@ -136,8 +136,8 @@ def test_gadget_canonical_orientation_hits_threshold():
 def test_gadget_forward_extension():
     # an orientation meeting the bound extends across the gadgets within threshold
     g = build_graph(3, [(0, 1), (1, 2)], weights=[2, 1, 3])
-    k_opt, orientation = brute_force_weighted(g, g.weights, "ind")
-    red = gadget_transform(g, g.weights, max(k_opt, 1))
+    k_opt, orientation = brute_force_weighted(g, "ind")
+    red = gadget_transform(g, max(k_opt, 1))
     extended = gadget_orientation(red, orientation)
     assert reduced_star_value(red.reduced, extended) <= red.threshold
 
@@ -154,7 +154,7 @@ def test_gadget_equivalence_small():
             w = tuple(rng.randint(1, 3) for _ in range(n))
             k = rng.randint(1, 5)
             g = build_graph(n, edges, weights=w)
-            lhs = brute_force_weighted(g, w, "ind")[0] <= k
+            lhs = brute_force_weighted(g, "ind")[0] <= k
             assert lhs == gadget_reduced_yes(g, w, k)
 
 
@@ -162,8 +162,8 @@ def test_gadget_factorized_matches_direct_enumeration():
     # the 1-edge reduced graph still fits the direct guard: cross-validate
     for w, k in [((1, 2), 1), ((3, 3), 2)]:
         g = build_graph(2, [(0, 1)], weights=list(w))
-        red = gadget_transform(g, w, k)
-        direct, _ = brute_force_weighted(red.reduced, red.reduced.weights, "star")
+        red = gadget_transform(g, k)
+        direct, _ = brute_force_weighted(red.reduced, "star")
         assert (direct <= red.threshold) == gadget_reduced_yes(g, w, k)
 
 
@@ -181,7 +181,7 @@ def test_binpacking_reduction_shape():
 def test_binpacking_trivial_single_item():
     bp = BinPackingInstance(sizes=(10,), bins=2, capacity=10)
     g, threshold = binpacking_to_wind(bp)
-    value, orientation = brute_force_weighted(g, g.weights, "ind")
+    value, orientation = brute_force_weighted(g, "ind")
     assert value <= threshold
     assert extract_packing(bp, orientation)[0] in (0, 1)
 
@@ -190,7 +190,7 @@ def test_binpacking_two_items_fit_two_bins():
     # each item in its own bin: YES on both sides
     bp = BinPackingInstance(sizes=(6, 6), bins=2, capacity=10)
     g, threshold = binpacking_to_wind(bp)
-    value, _ = brute_force_weighted(g, g.weights, "ind")
+    value, _ = brute_force_weighted(g, "ind")
     assert value <= threshold
 
 
@@ -247,17 +247,17 @@ def test_packing_orientation_roundtrip():
 
 def test_lp_trivially_feasible_at_weight_sum():
     g = build_graph(3, [(0, 1), (1, 2)], weights=[3, 4, 5])
-    assert lp_feasible(g, g.weights, sum(g.weights)) is not None
+    assert lp_feasible(g, sum(g.weights)) is not None
 
 
 def test_lp_infeasible_below_min_cost():
     g = build_graph(2, [(0, 1)], weights=[4, 7])
-    assert lp_feasible(g, (4, 7), 3) is None
+    assert lp_feasible(g, 3) is None
 
 
 def test_lp_triangle_equal_weights():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[5, 5, 5])
-    frac = lp_feasible(g, (5, 5, 5), 5)
+    frac = lp_feasible(g, 5)
     assert frac is not None
     assert all(frac.load(v) <= 5 for v in range(3))
 
@@ -265,14 +265,14 @@ def test_lp_triangle_equal_weights():
 def test_round_fractional_identity_on_integral():
     g = build_graph(3, [(0, 1), (1, 2)], weights=[2, 2, 2])
     one, zero = Fraction(1), Fraction(0)
-    frac = FractionalOrientation(g, (2, 2, 2), 4, ((one, zero), (zero, one)))
+    frac = FractionalOrientation(g, 4, ((one, zero), (zero, one)))
     assert round_fractional(frac).head == (0, 2)
 
 
 def test_round_fractional_cycle():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[5, 5, 5])
     half = Fraction(1, 2)
-    frac = FractionalOrientation(g, (5, 5, 5), 5, ((half, half),) * 3)
+    frac = FractionalOrientation(g, 5, ((half, half),) * 3)
     rounded = round_fractional(frac)
     indeg = [0, 0, 0]
     for h in rounded.head:
@@ -284,7 +284,7 @@ def test_round_fractional_tree():
     g = build_graph(4, [(0, 1), (1, 2), (1, 3)], weights=[1, 1, 1, 1])
     third = Fraction(1, 3)
     frac = FractionalOrientation(
-        g, (1, 1, 1, 1), 2,
+        g, 2,
         ((third, 1 - third), (1 - third, third), (third, 1 - third)),
     )
     rounded = round_fractional(frac)
@@ -297,7 +297,7 @@ def test_round_fractional_tree():
 def test_round_fractional_rejects_dense_support():
     g = build_graph(4, list(itertools.combinations(range(4), 2)), weights=[1] * 4)
     half = Fraction(1, 2)
-    frac = FractionalOrientation(g, (1,) * 4, 3, ((half, half),) * 6)
+    frac = FractionalOrientation(g, 3, ((half, half),) * 6)
     with pytest.raises(NotPseudoforest):
         round_fractional(frac)
 
@@ -311,7 +311,7 @@ def test_rounding_respects_double_limit():
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
         limit = rng.randint(max(min(w[a], w[b]) for a, b in g.edges), sum(w))
-        frac = lp_feasible(g, w, limit)
+        frac = lp_feasible(g, limit)
         if frac is None:
             continue
         rounded = round_fractional(frac)
@@ -322,8 +322,8 @@ def test_rounding_respects_double_limit():
 
 def test_approx_triangle_equal_weights():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[4, 4, 4])
-    opt_ind = brute_force_weighted(g, g.weights, "ind")[0]
-    opt_star = brute_force_weighted(g, g.weights, "star")[0]
+    opt_ind = brute_force_weighted(g, "ind")[0]
+    opt_star = brute_force_weighted(g, "star")[0]
     assert opt_ind == 4 and opt_star == 8
     _, value = approx2_wind(g)
     assert opt_ind <= value <= 2 * opt_ind
@@ -339,10 +339,10 @@ def test_approx_bounds_random():
         g0 = generate(GeneratorSpec("random", n=n, m=m, seed=400 + trial))
         w = [rng.randint(1, 9) for _ in range(n)]
         g = build_graph(n, g0.edges, weights=w)
-        k_opt = brute_force_weighted(g, w, "ind")[0]
-        x_opt = brute_force_weighted(g, w, "star")[0]
-        orientation, value = approx2_wind(g, w)
-        coloring, star_value = approx4_wstar(g, w)
+        k_opt = brute_force_weighted(g, "ind")[0]
+        x_opt = brute_force_weighted(g, "star")[0]
+        orientation, value = approx2_wind(g)
+        coloring, star_value = approx4_wstar(g)
         assert k_opt <= value <= 2 * k_opt
         assert x_opt <= star_value <= 4 * x_opt
         # the star value of any orientation is at most twice its indegree value
@@ -387,18 +387,18 @@ def test_weighted_paths_reject_binding_capacities():
     # instead of being ignored by a witness that then fails verification
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)], capacities=[0, 2, 2], weights=[2, 1, 1])
     for call in (
-        lambda: brute_force_weighted(g, g.weights, "ind"),
-        lambda: brute_force_weighted(g, g.weights, "star"),
+        lambda: brute_force_weighted(g, "ind"),
+        lambda: brute_force_weighted(g, "star"),
         lambda: approx2_wind(g),
         lambda: approx4_wstar(g),
-        lambda: lp_feasible(g, g.weights, 4),
-        lambda: gadget_transform(g, g.weights, 2),
+        lambda: lp_feasible(g, 4),
+        lambda: gadget_transform(g, 2),
     ):
         with pytest.raises(CapacitiesPresent):
             call()
     # capacities at or above every degree do not bind
     loose = build_graph(3, g.edges, capacities=[2, 2, 5], weights=g.weights)
-    assert brute_force_weighted(loose, loose.weights, "ind")[0] == brute_force_weighted(
-        build_graph(3, g.edges, weights=g.weights), g.weights, "ind"
+    assert brute_force_weighted(loose, "ind")[0] == brute_force_weighted(
+        build_graph(3, g.edges, weights=g.weights), "ind"
     )[0]
     assert approx2_wind(loose)[1] >= 1
